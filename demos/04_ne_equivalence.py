@@ -11,10 +11,9 @@ from relpat import (
     bounded_equal,
     closure,
     ne_equivalent,
-    normalize,
     parse_relational_pattern,
 )
-from relpat.core import Alphabet
+from relpat.core import Alphabet, renumber
 
 a = parse_relational_pattern("alphabet:ab; pattern: x1 a x2 x3; rel: ab(x1,x2), ab(x2,x3)")
 b = parse_relational_pattern("alphabet:ab; pattern: x1 a x2 x3; rel: ab(x3,x1)")
@@ -31,7 +30,7 @@ scrambled = RelationalPattern(
     Alphabet.of("ab"), (7, "a", 2, 5), frozenset({Constraint(RelationKind.ABELIAN_EQ, 7, 5)})
 )
 print()
-print("normalized symbols:", normalize(scrambled).symbols)
+print("normalized symbols:", renumber(scrambled).symbols)
 
 # The decision rule is two linear passes, so very long patterns stay fast.
 def chain(n: int) -> RelationalPattern:

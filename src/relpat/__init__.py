@@ -43,7 +43,6 @@ from .equivalence import (
     VariablePartition,
     closure,
     ne_equivalent,
-    normalize,
 )
 from .reductions import (
     CnfFormula,

@@ -557,7 +557,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, RecursionError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 2
     except (PatternSyntaxError, ValueError, OSError) as exc:

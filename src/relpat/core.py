@@ -243,7 +243,12 @@ def _split_rel_items(value: str) -> list[str]:
 
 
 def renumber(rp: RelationalPattern) -> RelationalPattern:
-    """Renumber variables by first occurrence starting at x1 (language-preserving)."""
+    """Renumber variables by first occurrence starting at x1 (language-preserving).
+
+    Returns ``rp`` itself when it is already in normal form.
+    """
+    if rp.is_normal:
+        return rp
     mapping = {var: i for i, var in enumerate(rp.variables, start=1)}
     symbols = tuple(mapping[s] if isinstance(s, int) else s for s in rp.symbols)
     constraints = frozenset(

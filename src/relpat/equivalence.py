@@ -57,13 +57,6 @@ def closure(rp: RelationalPattern) -> VariablePartition:
     return frozenset(frozenset(block) for block in blocks.values())
 
 
-def normalize(rp: RelationalPattern) -> RelationalPattern:
-    """Renumber variables by first occurrence starting at x1; language-preserving."""
-    if rp.is_normal:
-        return rp
-    return renumber(rp)
-
-
 def ne_equivalent(a: RelationalPattern, b: RelationalPattern) -> bool:
     """Decide equality of the two non-erasing relational pattern languages.
 
@@ -92,5 +85,5 @@ def ne_equivalent(a: RelationalPattern, b: RelationalPattern) -> bool:
                 f"relation {kind.value!r} is outside the decidable class "
                 "(needs an equivalence relation with equality on letters)"
             )
-    na, nb = normalize(a), normalize(b)
+    na, nb = renumber(a), renumber(b)
     return na.symbols == nb.symbols and closure(na) == closure(nb)

@@ -1,10 +1,17 @@
 """Exact membership decision and simultaneous multi-equation matching.
 
-The solver runs a depth-first search over per-variable segment assignments,
+The solver is one depth-first search over per-variable segment assignments,
 processing equations left to right.  Terminal symbols are consumed by exact
 comparison; variable segments are tried shortest first (length 1 first in
-NE mode, 0 first in E mode), so the first witness found is the all-minimal
-one and results are deterministic.
+NE mode, 0 first in E mode), so the first witness found is the one with the
+least image lengths in variable order, and results are deterministic.
+``_Solver.solutions`` yields every solution in that order: ``match`` takes
+the first, ``count_witnesses`` up to a cap.
+
+The search keeps its choice points (one per unbound variable item) on an
+explicit stack rather than the Python call stack, so its depth is bounded
+only by the node budget: patterns of thousands of symbols, such as the
+SAT-reduction instances, do not hit the recursion limit.
 
 Pruning (switchable, never verdict-changing):
   * equal-length constraint classes share one forced length,
@@ -19,9 +26,11 @@ SAT-reduction instances independent of each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .core import (
     BudgetExceededError,
@@ -31,18 +40,9 @@ from .core import (
     RelationalPattern,
     Substitution,
 )
-from .relations import LengthProfile, RelationKind, length_profile, relation_holds
+from .relations import LengthProfile, RelationKind, length_profile, primitive_root, relation_holds
 
 DEFAULT_NODE_BUDGET = 20_000_000
-
-
-@lru_cache(maxsize=65536)
-def _root(word: str) -> str:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    raise AssertionError("unreachable for non-empty words")
 
 
 @lru_cache(maxsize=65536)
@@ -51,6 +51,11 @@ def _letter_counts(word: str) -> dict[str, int]:
     for ch in word:
         counts[ch] = counts.get(ch, 0) + 1
     return counts
+
+
+@lru_cache(maxsize=65536)
+def _root_letter_counts(word: str) -> dict[str, int]:
+    return _letter_counts(primitive_root(word))
 
 
 @dataclass(frozen=True)
@@ -140,86 +145,66 @@ class _Solver:
             class_members.setdefault(self.class_root[v], set()).add(v)
         self.class_len: dict[int, Optional[int]] = {root: None for root in class_members}
 
-        # Per (equation, item) suffix tables and memo-relevant variable lists.
-        self.suffix_min: list[list[int]] = []
-        self.suffix_counts: list[list[dict[str, int]]] = []
-        self.relevant: list[list[tuple[int, ...]]] = []
+        # Per (equation, item) suffix tables, built in one reverse pass over
+        # each equation (equations last to first, since variables of later
+        # equations still matter to the memo key):
+        #   suffix_min / suffix_counts: length floor and terminal letter counts;
+        #   relevant: variables whose bindings can still influence the suffix;
+        #   suffix_term_len / suffix_need_vars / suffix_plain_count: terminal
+        #   length, variables that can carry letter obligations (constrained or
+        #   repeated), and the number of the other variable items.
+        occurrences = Counter(s for eq in problem.equations for s in eq.pattern if isinstance(s, int))
+        interesting = {v for v in all_vars if self.cons_of[v] or occurrences[v] > 1}
         future: set[int] = set()
-        rel_by_eq_item: list[list[tuple[int, ...]]] = []
-        for ei in reversed(range(len(self.items))):
-            compiled = self.items[ei]
-            mins = [0] * (len(compiled) + 1)
-            counts: list[dict[str, int]] = [dict() for _ in range(len(compiled) + 1)]
-            rels: list[tuple[int, ...]] = [()] * (len(compiled) + 1)
-            running: dict[str, int] = {}
-            for j in reversed(range(len(compiled))):
-                tag, payload = compiled[j]
-                if tag == _TERM:
-                    text = payload  # type: ignore[assignment]
-                    mins[j] = mins[j + 1] + len(text)  # type: ignore[arg-type]
-                    running = dict(running)
-                    for ch in text:  # type: ignore[union-attr]
-                        running[ch] = running.get(ch, 0) + 1
-                else:
-                    mins[j] = mins[j + 1] + self.mode_min
-                    future.add(payload)  # type: ignore[arg-type]
-                counts[j] = running
-                rel: set[int] = set(future)
-                for v in future:
-                    for con in self.cons_of[v]:
-                        rel.add(con.left)
-                        rel.add(con.right)
-                    rel.update(class_members[self.class_root[v]])
-                rels[j] = tuple(sorted(rel))
-            counts[len(compiled)] = {}
-            rels[len(compiled)] = tuple(sorted(
-                {v for v in future}
-                | {u for v in future for con in self.cons_of[v] for u in (con.left, con.right)}
-                | {m for v in future for m in class_members[self.class_root[v]]}
-            ))
-            self.suffix_min.append(mins)
-            self.suffix_counts.append(counts)
-            rel_by_eq_item.append(rels)
-        self.suffix_min.reverse()
-        self.suffix_counts.reverse()
-        rel_by_eq_item.reverse()
-        self.relevant = rel_by_eq_item
-
-        # Suffix terminal lengths, plus the suffix variables that can carry
-        # letter obligations (constrained or shared across equations).
-        occurrences: dict[int, int] = {}
-        for eq in problem.equations:
-            for sym in eq.pattern:
-                if isinstance(sym, int):
-                    occurrences[sym] = occurrences.get(sym, 0) + 1
-        interesting = {
-            v for v in all_vars if self.cons_of[v] or occurrences.get(v, 0) > 1
-        }
-        self.suffix_term_len: list[list[int]] = []
-        self.suffix_need_vars: list[list[tuple[int, ...]]] = []
-        self.suffix_plain_count: list[list[int]] = []
-        for compiled in self.items:
+        relevant: set[int] = set()
+        tables = []
+        for compiled in reversed(self.items):
             size = len(compiled)
+            mins = [0] * (size + 1)
+            counts: list[dict[str, int]] = [{}] * (size + 1)
+            rels: list[tuple[int, ...]] = [tuple(sorted(relevant))] * (size + 1)
             term_lens = [0] * (size + 1)
             need_vars: list[tuple[int, ...]] = [()] * (size + 1)
             plain = [0] * (size + 1)
+            running: dict[str, int] = {}
             for j in reversed(range(size)):
                 tag, payload = compiled[j]
+                need_vars[j] = need_vars[j + 1]
+                plain[j] = plain[j + 1]
+                rels[j] = rels[j + 1]
                 if tag == _TERM:
-                    term_lens[j] = term_lens[j + 1] + len(payload)  # type: ignore[arg-type]
-                    need_vars[j] = need_vars[j + 1]
-                    plain[j] = plain[j + 1]
+                    text: str = payload  # type: ignore[assignment]
+                    mins[j] = mins[j + 1] + len(text)
+                    term_lens[j] = term_lens[j + 1] + len(text)
+                    running = dict(running)
+                    for ch in text:
+                        running[ch] = running.get(ch, 0) + 1
                 else:
+                    var: int = payload  # type: ignore[assignment]
+                    mins[j] = mins[j + 1] + self.mode_min
                     term_lens[j] = term_lens[j + 1]
-                    if payload in interesting:
-                        need_vars[j] = (payload,) + need_vars[j + 1]  # type: ignore[operator]
-                        plain[j] = plain[j + 1]
+                    if var in interesting:
+                        need_vars[j] = (var,) + need_vars[j]
                     else:
-                        need_vars[j] = need_vars[j + 1]
-                        plain[j] = plain[j + 1] + 1
-            self.suffix_term_len.append(term_lens)
-            self.suffix_need_vars.append(need_vars)
-            self.suffix_plain_count.append(plain)
+                        plain[j] += 1
+                    if var not in future:
+                        future.add(var)
+                        relevant.add(var)
+                        for con in self.cons_of[var]:
+                            relevant.update((con.left, con.right))
+                        relevant.update(class_members[self.class_root[var]])
+                        rels[j] = tuple(sorted(relevant))
+                counts[j] = running
+            tables.append((mins, counts, rels, term_lens, need_vars, plain))
+        tables.reverse()
+        (
+            self.suffix_min,
+            self.suffix_counts,
+            self.relevant,
+            self.suffix_term_len,
+            self.suffix_need_vars,
+            self.suffix_plain_count,
+        ) = (list(column) for column in zip(*tables))
 
         # Cumulative per-letter counts of each target, for suffix feasibility.
         self.target_cum: list[dict[str, list[int]]] = []
@@ -301,9 +286,9 @@ class _Solver:
                     bump(_letter_counts(other_img))
             elif kind is RelationKind.COM_PLUS and other_img:
                 nonempty = 1
-                bump(_letter_counts(_root(other_img)))
+                bump(_root_letter_counts(other_img))
             elif kind is RelationKind.COM_STAR and other_img and self.mode_min:
-                bump(_letter_counts(_root(other_img)))
+                bump(_root_letter_counts(other_img))
             elif kind is RelationKind.SUBSEQ and right == var:
                 bump(_letter_counts(other_img))
             elif kind is RelationKind.STAR:
@@ -397,136 +382,128 @@ class _Solver:
 
     # -- search -------------------------------------------------------------
 
-    def solve(self) -> Optional[Substitution]:
-        return self._match(0, 0, 0)
+    def solutions(self) -> Iterator[Substitution]:
+        """Yield every solution in depth-first order: equations and items left
+        to right, segment lengths ascending.
 
-    def _match(self, ei: int, item: int, t: int) -> Optional[Substitution]:
-        if ei == len(self.items):
-            return dict(self.bindings)
-        compiled = self.items[ei]
-        target = self.targets[ei]
-        if item == len(compiled):
-            if t == len(target):
-                return self._match(ei + 1, 0, 0)
-            return None
-        tag, payload = compiled[item]
-        if tag == _TERM:
-            text: str = payload  # type: ignore[assignment]
-            if target.startswith(text, t):
-                return self._match(ei, item + 1, t + len(text))
-            return None
-
-        var: int = payload  # type: ignore[assignment]
-        bound = self.bindings.get(var)
-        if bound is not None:
-            if target.startswith(bound, t):
-                return self._match(ei, item + 1, t + len(bound))
-            return None
-
-        key = (
-            ei,
-            item,
-            t,
-            tuple((v, self.bindings[v]) for v in self.relevant[ei][item] if v in self.bindings),
-        )
-        if key in self.fail_memo:
-            return None
-
-        hi, checks = self._candidate_context(key, ei, item, t)
-        if checks is not None:
-            tlen = len(target)
-            root = self.class_root[var]
-            fixed_before = self.class_len[root]
-            for ell in self._length_candidates(var, self.mode_min, hi):
-                self.budget -= 1
-                if self.budget < 0:
-                    raise BudgetExceededError("matcher node budget exhausted")
-                end = t + ell
-                feasible = True
-                for arr, need in checks:
-                    if arr[tlen] - arr[end] < need:
-                        feasible = False
+        Terminals and bound variables are consumed without branching; each
+        unbound variable opens a choice point on an explicit stack, so search
+        depth is limited by the node budget, not by the recursion limit.  A
+        choice point whose subtree yielded nothing goes into the fail memo.
+        """
+        items, targets, bindings = self.items, self.targets, self.bindings
+        stack: list[_ChoicePoint] = []
+        ei = item = t = 0
+        while True:
+            # Advance to the next choice point, a solution or a dead end.
+            while ei < len(items):
+                compiled, target = items[ei], targets[ei]
+                if item == len(compiled):
+                    if t != len(target):
                         break
-                if not feasible:
+                    ei, item, t = ei + 1, 0, 0
                     continue
+                tag, payload = compiled[item]
+                if tag == _TERM:
+                    text: str = payload  # type: ignore[assignment]
+                elif payload in bindings:
+                    text = bindings[payload]  # type: ignore[index]
+                else:
+                    var: int = payload  # type: ignore[assignment]
+                    key = (
+                        ei,
+                        item,
+                        t,
+                        tuple((v, bindings[v]) for v in self.relevant[ei][item] if v in bindings),
+                    )
+                    if key in self.fail_memo:
+                        break
+                    hi, checks = self._candidate_context(key, ei, item, t)
+                    if checks is None:
+                        self.fail_memo.add(key)
+                        break
+                    root = self.class_root[var]
+                    stack.append(_ChoicePoint(
+                        key, ei, item, t, var, root,
+                        self.length_pruning and self.class_len[root] is None,
+                        iter(self._length_candidates(var, self.mode_min, hi)),
+                        checks,
+                    ))
+                    break
+                if not target.startswith(text, t):
+                    break
+                item += 1
+                t += len(text)
+            else:
+                if stack:
+                    stack[-1].found = True
+                yield dict(bindings)
+
+            # Backtrack to the innermost choice point with a candidate left.
+            while stack:
+                cp = stack[-1]
+                end = self._next_candidate(cp)
+                if end is not None:
+                    ei, item, t = cp.ei, cp.item + 1, end
+                    break
+                stack.pop()
+                if not cp.found:
+                    self.fail_memo.add(cp.key)
+                elif stack:
+                    stack[-1].found = True
+            else:
+                return
+
+    def _next_candidate(self, cp: _ChoicePoint) -> Optional[int]:
+        """Bind the choice point's variable to its next admissible segment and
+        return the segment end; unbind it and return None once exhausted.
+
+        The previous candidate's binding is left in place until the next one
+        overwrites it: the length and letter checks do not read it.
+        """
+        target = self.targets[cp.ei]
+        tlen = len(target)
+        t, var, checks = cp.t, cp.var, cp.checks
+        for ell in cp.candidates:
+            self.budget -= 1
+            if self.budget < 0:
+                raise BudgetExceededError("matcher node budget exhausted")
+            end = t + ell
+            for arr, need in checks:
+                if arr[tlen] - arr[end] < need:
+                    break
+            else:
                 self.bindings[var] = target[t:end]
-                if self.length_pruning and fixed_before is None:
-                    self.class_len[root] = ell
+                if cp.sets_class_len:
+                    self.class_len[cp.root] = ell
                 if self._check_bound_constraints(var):
-                    result = self._match(ei, item + 1, end)
-                    if result is not None:
-                        return result
-                del self.bindings[var]
-                if self.length_pruning and fixed_before is None:
-                    self.class_len[root] = None
-        self.fail_memo.add(key)
+                    return end
+        self.bindings.pop(var, None)
+        if cp.sets_class_len:
+            self.class_len[cp.root] = None
         return None
 
-    def count(self, cap: int) -> int:
-        return self._count(0, 0, 0, cap)
+    def solve(self) -> Optional[Substitution]:
+        return next(self.solutions(), None)
 
-    def _count(self, ei: int, item: int, t: int, cap: int) -> int:
-        if cap <= 0:
-            return 0
-        if ei == len(self.items):
-            return 1
-        compiled = self.items[ei]
-        target = self.targets[ei]
-        if item == len(compiled):
-            if t == len(target):
-                return self._count(ei + 1, 0, 0, cap)
-            return 0
-        tag, payload = compiled[item]
-        if tag == _TERM:
-            text: str = payload  # type: ignore[assignment]
-            if target.startswith(text, t):
-                return self._count(ei, item + 1, t + len(text), cap)
-            return 0
-        var: int = payload  # type: ignore[assignment]
-        bound = self.bindings.get(var)
-        if bound is not None:
-            if target.startswith(bound, t):
-                return self._count(ei, item + 1, t + len(bound), cap)
-            return 0
-        key = (
-            ei,
-            item,
-            t,
-            tuple((v, self.bindings[v]) for v in self.relevant[ei][item] if v in self.bindings),
-        )
-        if key in self.fail_memo:
-            return 0
-        total = 0
-        hi, checks = self._candidate_context(key, ei, item, t)
-        if checks is not None:
-            tlen = len(target)
-            root = self.class_root[var]
-            fixed_before = self.class_len[root]
-            for ell in self._length_candidates(var, self.mode_min, hi):
-                self.budget -= 1
-                if self.budget < 0:
-                    raise BudgetExceededError("matcher node budget exhausted")
-                end = t + ell
-                feasible = True
-                for arr, need in checks:
-                    if arr[tlen] - arr[end] < need:
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                self.bindings[var] = target[t:end]
-                if self.length_pruning and fixed_before is None:
-                    self.class_len[root] = ell
-                if self._check_bound_constraints(var):
-                    total += self._count(ei, item + 1, end, cap - total)
-                del self.bindings[var]
-                if self.length_pruning and fixed_before is None:
-                    self.class_len[root] = None
-                if total >= cap:
-                    return cap
-        if total == 0:
-            self.fail_memo.add(key)
-        return total
+    def count(self, cap: int) -> int:
+        return sum(1 for _ in islice(self.solutions(), cap))
+
+
+@dataclass(slots=True)
+class _ChoicePoint:
+    """One unbound variable item on the search stack."""
+
+    key: tuple
+    ei: int
+    item: int
+    t: int
+    var: int
+    root: int
+    sets_class_len: bool  # the variable's length class was unset when opened
+    candidates: Iterator[int]
+    checks: list[tuple[list[int], int]]
+    found: bool = False  # some solution was yielded below this point
 
 
 def solve_system(
@@ -547,13 +524,16 @@ def solve_system(
 
 
 def _assert_solution(problem: MatchProblem, witness: Substitution) -> None:
+    # Explicit raises, not ``assert``: the check must survive ``python -O``.
     for eq in problem.equations:
         image = "".join(witness[s] if isinstance(s, int) else s for s in eq.pattern)
-        assert image == eq.target, "solver produced a non-solution"
+        if image != eq.target:
+            raise AssertionError(f"solver produced a non-solution: {image!r} != {eq.target!r}")
     for kind, left, right in problem.constraints:
-        assert relation_holds(kind, witness[left], witness[right])
-    if problem.mode is Mode.NE:
-        assert all(witness[v] for v in witness)
+        if not relation_holds(kind, witness[left], witness[right]):
+            raise AssertionError(f"solver witness violates {kind.value}(x{left},x{right})")
+    if problem.mode is Mode.NE and not all(witness.values()):
+        raise AssertionError("solver witness erases a variable in NE mode")
 
 
 def match(

@@ -78,6 +78,31 @@ def classical_match(pattern: tuple, word: str, mode: Mode) -> bool:
     return go(0, 0, {})
 
 
+def all_witnesses(word: str, rp: RelationalPattern, mode: Mode) -> list[dict[int, str]]:
+    """Every valid substitution h with apply(h, rp) == word, by trying every split."""
+    from relpat.semantics import is_valid
+
+    found: list[dict[int, str]] = []
+
+    def go(i: int, t: int, h: dict[int, str]) -> None:
+        if i == len(rp.symbols):
+            if t == len(word) and is_valid(h, rp, mode):
+                found.append(dict(h))
+            return
+        sym = rp.symbols[i]
+        if isinstance(sym, str):
+            if word.startswith(sym, t):
+                go(i + 1, t + 1, h)
+            return
+        for end in range(t + mode.min_len, len(word) + 1):
+            h[sym] = word[t:end]
+            go(i + 1, end, h)
+            del h[sym]
+
+    go(0, 0, {})
+    return found
+
+
 def dpll(clauses: list[tuple[int, ...]]) -> bool:
     """Small independent SAT check used against the brute-force oracle."""
     clauses = [tuple(c) for c in clauses]

@@ -58,6 +58,16 @@ def test_enum_sorted_output(beta_file, capsys):
     assert capsys.readouterr().out.splitlines() == ["acca", "bccb", "cccc"]
 
 
+def test_enum_recursion_limit_is_resource_guard(tmp_path, capsys):
+    # The bounded-language oracle recurses once per variable; past Python's
+    # recursion limit the CLI must refuse (exit 2), not answer "false" (exit 1).
+    path = tmp_path / "deep.rp"
+    variables = " ".join(f"x{i}" for i in range(1, 1201))
+    path.write_text(f"alphabet:ab; pattern: {variables}\n", encoding="utf-8")
+    assert main(["enum", "--pattern", str(path), "--mode", "ne", "--max-len", "1200"]) == 2
+    assert "resource guard" in capsys.readouterr().err
+
+
 def test_equiv_same_file(tmp_path, capsys):
     path = tmp_path / "p.rp"
     path.write_text("alphabet:ab; pattern: x1 a x2; rel: ab(x1,x2)\n", encoding="utf-8")

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from relpat.core import Alphabet, Constraint, Mode
+from relpat.core import Alphabet, Constraint, Mode, renumber
 from relpat.equivalence import (
     EquivalencePreconditionError,
     MixedRelationKindsError,
     closure,
     ne_equivalent,
-    normalize,
 )
 from relpat.relations import RelationKind as K
 from relpat.semantics import bounded_equal
@@ -43,14 +42,14 @@ def test_closure_rejects_mixed_kinds():
 
 def test_normalize_renumbers_by_first_occurrence():
     rp = make_rp((7, "a", 2), {Constraint(K.EQ, 7, 2)})
-    normalized = normalize(rp)
+    normalized = renumber(rp)
     assert normalized.symbols == (1, "a", 2)
     assert normalized.constraints == {Constraint(K.EQ, 1, 2)}
 
 
 def test_normalize_identity_on_normal_patterns():
     rp = make_rp((1, "a", 2))
-    assert normalize(rp) is rp
+    assert renumber(rp) is rp
 
 
 def test_normalize_preserves_bounded_language():
@@ -62,7 +61,7 @@ def test_normalize_preserves_bounded_language():
             {Constraint(k, l + 10, r + 10) for k, l, r in rp.constraints},
             rp.alphabet,
         )
-        assert bounded_equal(rp, normalize(scrambled), Mode.NE, len(rp.symbols) + 3)
+        assert bounded_equal(rp, renumber(scrambled), Mode.NE, len(rp.symbols) + 3)
 
 
 def test_ne_equivalent_reflexive():

@@ -1,13 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import relpat
 
 from relpat.core import Alphabet, BudgetExceededError, Constraint, Mode
 from relpat.matcher import MatchEquation, MatchProblem, count_witnesses, match, solve_system
 from relpat.relations import RelationKind as K
 from relpat import semantics
 
-from helpers import all_words, make_rp, random_relational_pattern
+from helpers import all_witnesses, all_words, make_rp, random_relational_pattern
 
 REV_PATTERN = make_rp((1, "c", "c", 2), {Constraint(K.REVERSAL, 1, 2)}, alphabet=Alphabet.of("abc"))
 INTRO_PATTERN = make_rp((1, "a", "a", 3, "b", 2), {Constraint(K.EQ, 1, 3)})
@@ -136,3 +142,55 @@ def test_witness_is_always_valid():
             if witness is not None:
                 assert semantics.apply(witness, rp) == word
                 assert semantics.is_valid(witness, rp, mode)
+
+
+def test_first_witness_and_count_match_brute_force():
+    # Pins the search order (least image lengths, in variable order, first)
+    # and count_witnesses on constrained patterns, for both pruning settings.
+    rng = random.Random(11)
+    words = all_words("ab", 6)
+    for _ in range(30):
+        rp = random_relational_pattern(rng)
+        for mode in (Mode.E, Mode.NE):
+            for word in words:
+                expected = all_witnesses(word, rp, mode)
+                least = min(
+                    expected, key=lambda h: tuple(len(h[v]) for v in rp.variables), default=None
+                )
+                for pruning in (True, False):
+                    assert match(word, rp, mode, length_pruning=pruning) == least
+                    assert count_witnesses(
+                        word, rp, mode, cap=10**6, length_pruning=pruning
+                    ) == len(expected)
+
+
+@pytest.mark.parametrize(
+    "symbols, word",
+    [
+        (tuple(range(1, 3001)), "a" * 3000),
+        (tuple(s for var in range(1, 1501) for s in (var, "a")), "ba" * 1500),
+    ],
+    ids=["variables-only", "alternating"],
+)
+def test_deep_pattern_needs_no_recursion(symbols, word):
+    # 3,000 items: search depth is bounded by the node budget, not the stack.
+    rp = make_rp(symbols)
+    witness = match(word, rp, Mode.NE)
+    assert witness is not None
+    assert semantics.apply(witness, rp) == word
+    assert semantics.is_valid(witness, rp, Mode.NE)
+
+
+def test_assert_solution_raises_under_optimize():
+    # ``python -O`` strips bare asserts; the witness self-check must still raise.
+    code = (
+        "from relpat.core import Mode\n"
+        "from relpat.matcher import MatchEquation, MatchProblem, _assert_solution\n"
+        "problem = MatchProblem((MatchEquation((1, 'a'), 'ba'),), frozenset(), Mode.NE)\n"
+        "_assert_solution(problem, {1: 'a'})\n"
+    )
+    src = str(Path(relpat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "AssertionError: solver produced a non-solution" in result.stderr
