@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +21,7 @@ from .core import (
     print_relational_pattern,
 )
 from .relations import TOKEN_TO_KIND, relation_holds
-from . import equivalence, inclusion, machines, matcher, reductions, semantics
+from . import equivalence, inclusion, machines, matcher, reductions, selfcheck, semantics
 
 
 def _read_pattern(path: str) -> tuple:
@@ -203,259 +201,8 @@ def _cmd_thm3(args: argparse.Namespace) -> int:
 # -- report ------------------------------------------------------------------
 
 
-def _suite_relation_laws() -> tuple[int, int]:
-    from .relations import (
-        RelationKind,
-        is_subsequence,
-        length_profile,
-        LengthProfile,
-        primitive_root,
-    )
-    import itertools
-
-    words = [""]
-    for n in range(1, 5):
-        words += ["".join(t) for t in itertools.product("ab", repeat=n)]
-    cases = passed = 0
-
-    def canon(kind: RelationKind, w: str):
-        if kind is RelationKind.EQ:
-            return w
-        if kind is RelationKind.LEN_EQ:
-            return len(w)
-        if kind is RelationKind.ABELIAN_EQ:
-            return (w.count("a"), w.count("b"))
-        first = {}
-        return tuple(first.setdefault(ch, len(first)) for ch in w)
-
-    for kind in (RelationKind.EQ, RelationKind.LEN_EQ, RelationKind.ABELIAN_EQ, RelationKind.ALPHA_PERM):
-        for u in words:
-            for v in words:
-                cases += 1
-                expected = canon(kind, u) == canon(kind, v)
-                passed += relation_holds(kind, u, v) == expected
-    nonempty = [w for w in words if w]
-    for u in nonempty:
-        for v in nonempty:
-            cases += 1
-            expected = primitive_root(u) == primitive_root(v)
-            passed += relation_holds(RelationKind.COM_PLUS, u, v) == expected
-    for u in words:
-        for v in words:
-            cases += 1
-            passed += relation_holds(RelationKind.REVERSAL, u, v) == relation_holds(
-                RelationKind.REVERSAL, v, u
-            )
-            for kind in (RelationKind.SUBSEQ, RelationKind.STAR):
-                cases += 1
-                both = relation_holds(kind, u, v) and relation_holds(kind, v, u)
-                passed += both == (u == v)
-            for kind in RelationKind:
-                if not relation_holds(kind, u, v):
-                    continue
-                cases += 1
-                profile = length_profile(kind)
-                if profile is LengthProfile.EQUAL_LENGTHS:
-                    ok = len(u) == len(v)
-                elif profile is LengthProfile.LEFT_AT_MOST_RIGHT:
-                    ok = len(u) <= len(v)
-                elif profile is LengthProfile.LEFT_MULTIPLE_OF_RIGHT:
-                    ok = len(v) == 0 or len(u) % len(v) == 0
-                else:
-                    ok = True
-                passed += ok
-    cases += 1
-    passed += is_subsequence("ab", "acb")
-    return cases, passed
-
-
-def _random_pattern(rng: random.Random, kinds) -> "object":
-    from .core import Alphabet, Constraint, RelationalPattern
-
-    alphabet = Alphabet.of("ab")
-    num_vars = rng.randint(1, 3)
-    symbols: list = []
-    queue = list(range(1, num_vars + 1))
-    length = rng.randint(num_vars, num_vars + 3)
-    while queue or len(symbols) < length:
-        if queue and (len(symbols) >= length or rng.random() < 0.5):
-            symbols.append(queue.pop(0))
-        else:
-            symbols.append(rng.choice("ab"))
-    kind = rng.choice(kinds)
-    constraints = set()
-    if num_vars >= 2:
-        for _ in range(rng.randint(0, 2)):
-            left, right = rng.sample(range(1, num_vars + 1), 2)
-            constraints.add(Constraint(kind, left, right))
-    return RelationalPattern(alphabet, tuple(symbols), frozenset(constraints))
-
-
-def _suite_matcher_oracle(rng: random.Random) -> tuple[int, int]:
-    import itertools
-
-    kinds = list(TOKEN_TO_KIND.values())
-    words = [""]
-    for n in range(1, 7):
-        words += ["".join(t) for t in itertools.product("ab", repeat=n)]
-    cases = passed = 0
-    for _ in range(40):
-        rp = _random_pattern(rng, kinds)
-        mode = rng.choice([Mode.E, Mode.NE])
-        language = semantics.enumerate_language(rp, mode, 6).words
-        for word in words:
-            cases += 1
-            passed += (matcher.match(word, rp, mode) is not None) == (word in language)
-    return cases, passed
-
-
-def _suite_reductions() -> tuple[int, int]:
-    from .reductions import CnfFormula, ReductionVariant, verify_reduction
-    from .relations import RelationKind
-
-    sat = CnfFormula(2, ((1, -2, 2),))
-    unsat = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
-    commute_sat = CnfFormula(2, ((1, -1, 2),))
-    commute_unsat = CnfFormula(2, ((1, 2, -2), (-1, 2, -2)))
-    cases = passed = 0
-    for kind in (RelationKind.EQ, RelationKind.REVERSAL, RelationKind.STAR):
-        for phi in (sat, unsat):
-            for variant in (ReductionVariant.ANGLUIN_NE, ReductionVariant.JIANG_E):
-                cases += 1
-                passed += verify_reduction(variant, phi, kind)
-    for variant, kind in (
-        (ReductionVariant.COMMUTE_NE, RelationKind.COM_STAR),
-        (ReductionVariant.COMMUTE_NE, RelationKind.COM_PLUS),
-        (ReductionVariant.COM_PLUS_E, None),
-        (ReductionVariant.COM_STAR_E, None),
-    ):
-        for phi in (commute_sat, commute_unsat):
-            cases += 1
-            passed += verify_reduction(variant, phi, kind)
-    for variant in (
-        ReductionVariant.ONE_SIDED_STAR_E,
-        ReductionVariant.ONE_SIDED_SUBSEQ_E,
-        ReductionVariant.ONE_SIDED_STAR_NE,
-        ReductionVariant.ONE_SIDED_SUBSEQ_NE,
-    ):
-        for phi in (sat, unsat):
-            cases += 1
-            passed += verify_reduction(variant, phi)
-    return cases, passed
-
-
-def _suite_equivalence(rng: random.Random) -> tuple[int, int]:
-    from .relations import RelationKind
-
-    kinds = [RelationKind.EQ, RelationKind.ABELIAN_EQ, RelationKind.COM_PLUS]
-    cases = passed = 0
-    for _ in range(60):
-        kind = rng.choice(kinds)
-        a = _random_pattern(rng, [kind])
-        b = _random_pattern(rng, [kind]) if rng.random() < 0.6 else a
-        bound = max(len(a.symbols), len(b.symbols)) + 3
-        cases += 1
-        passed += equivalence.ne_equivalent(a, b) == semantics.bounded_equal(
-            a, b, Mode.NE, bound
-        )
-    return cases, passed
-
-
-def _report_automaton() -> machines.TwoCounterAutomaton:
-    return machines.TwoCounterAutomaton(
-        2,
-        frozenset({1}),
-        {
-            (0, 0, 0): frozenset({(0, 1, 0), (1, 0, 0)}),
-            (0, 1, 0): frozenset({(1, -1, 0)}),
-        },
-    )
-
-
-def _suite_machines(rng: random.Random) -> tuple[int, int]:
-    cases = passed = 0
-    automaton = _report_automaton()
-    run = machines.ca_find_accepting_run(automaton, 6)
-    cases += 1
-    passed += run is not None and machines.ca_validate(machines.ca_encode(run), automaton)
-    word = machines.ca_encode(run)
-    for corrupted in (word[2:], word + "#", word.replace("##", "#", 1)):
-        cases += 1
-        passed += not machines.ca_validate(corrupted, automaton)
-    for _ in range(200):
-        config = machines.UtmConfiguration(
-            rng.randint(1, 15), rng.randint(0, 255), rng.randint(0, 255)
-        )
-        tape = machines.TapeUtm.from_config(config)
-        stepped = machines.utm_step(config)
-        cases += 1
-        if stepped is None:
-            passed += not tape.step()
-        else:
-            tape.step()
-            passed += tape.to_config() == stepped
-    halting = machines.UtmConfiguration(10, 1, 0)
-    word = machines.utm_encode_computation([halting])
-    cases += 1
-    passed += machines.utm_validate(word, halting)
-    cases += 1
-    passed += not machines.utm_validate(word, machines.UtmConfiguration(10, 3, 0))
-    return cases, passed
-
-
-def _suite_inclusion(rng: random.Random) -> tuple[int, int]:
-    automaton = _report_automaton()
-    triples = inclusion.build_predicates(automaton)
-    cases = passed = 0
-    run = machines.ca_find_accepting_run(automaton, 6)
-    encodings = [machines.ca_encode(run)]
-    candidates = set(encodings)
-    for base in encodings:
-        for _ in range(8):
-            pos = rng.randrange(len(base))
-            mutated = base[:pos] + rng.choice("0#") + base[pos + 1 :]
-            candidates.add(mutated)
-    candidates.update(["", "##", "##0#0#0##", "0#0"])
-    for word in sorted(candidates):
-        sigma = inclusion.SigmaAssignment(word, "0" * (len(word) + 1))
-        if not inclusion.good_form(sigma):
-            continue
-        cases += 1
-        none_satisfied = not inclusion.satisfied_predicates(sigma, triples)
-        passed += none_satisfied == machines.ca_validate(word, automaton)
-    return cases, passed
-
-
-def run_report(seed: int, timings: bool) -> list[dict]:
-    rng = random.Random(seed)
-    suites = [
-        ("relation-laws", lambda: _suite_relation_laws()),
-        ("matcher-oracle", lambda: _suite_matcher_oracle(rng)),
-        ("reductions", lambda: _suite_reductions()),
-        ("equivalence", lambda: _suite_equivalence(rng)),
-        ("machines", lambda: _suite_machines(rng)),
-        ("inclusion-constructions", lambda: _suite_inclusion(rng)),
-    ]
-    report = []
-    for name, runner in suites:
-        started = time.perf_counter()
-        cases, passed = runner()
-        elapsed = time.perf_counter() - started
-        report.append(
-            {
-                "suite": name,
-                "cases": cases,
-                "passed": passed,
-                "failed": cases - passed,
-                # Timing is suppressed by default so reports are reproducible.
-                "seconds": round(elapsed, 3) if timings else 0.0,
-            }
-        )
-    return report
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = run_report(args.seed, args.timings)
+    report = selfcheck.run_report(args.seed, args.timings)
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     Path(args.out).write_text(payload, encoding="utf-8")
     total_failed = sum(suite["failed"] for suite in report)
@@ -557,7 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, RecursionError) as exc:
+    except (BudgetExceededError, MemoryError, RecursionError) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 2
     except (PatternSyntaxError, ValueError, OSError) as exc:

@@ -65,16 +65,27 @@ def _length_compatible(kind: RelationKind, llen: int, rlen: int, mode: Mode) -> 
 
 
 def _compositions(total: int, mins: list[int]) -> Iterator[tuple[int, ...]]:
-    """All tuples (l_1..l_k) with l_i >= mins[i] summing to total."""
+    """All tuples (l_1..l_k) with l_i >= mins[i] summing to total, in lexicographic order.
+
+    Stars and bars: the ``total - sum(mins)`` spare units are split by k - 1
+    bars, and bar positions taken in lexicographic order give the tuples in
+    lexicographic order.  Iterative, so k is not bounded by the recursion limit.
+    """
+    spare = total - sum(mins)
+    if spare < 0:
+        return
     if not mins:
-        if total == 0:
+        if spare == 0:
             yield ()
         return
-    head_min = mins[0]
-    rest_min = sum(mins[1:])
-    for first in range(head_min, total - rest_min + 1):
-        for rest in _compositions(total - first, mins[1:]):
-            yield (first, *rest)
+    slots = spare + len(mins) - 1
+    for bars in itertools.combinations(range(slots), len(mins) - 1):
+        parts = []
+        previous = -1
+        for bar, low in zip(bars + (slots,), mins):
+            parts.append(low + bar - previous - 1)
+            previous = bar
+        yield tuple(parts)
 
 
 def enumerate_language(
@@ -83,7 +94,6 @@ def enumerate_language(
     max_len: int,
     *,
     node_budget: int = DEFAULT_ENUM_BUDGET,
-    length_pruning: bool = True,
 ) -> BoundedLanguage:
     """All words of the language with length <= max_len, as a deterministic set.
 
@@ -106,13 +116,12 @@ def enumerate_language(
     budget = node_budget
     for total in range(sum(mins), max_len - terminal_len + 1):
         for comp in _compositions(total, mins):
-            if length_pruning:
-                lens = dict(zip(variables, comp))
-                if not all(
-                    _length_compatible(kind, lens[left], lens[right], mode)
-                    for kind, left, right in rp.constraints
-                ):
-                    continue
+            lens = dict(zip(variables, comp))
+            if not all(
+                _length_compatible(kind, lens[left], lens[right], mode)
+                for kind, left, right in rp.constraints
+            ):
+                continue
             budget -= _candidate_count(len(letters), comp)
             if budget < 0:
                 raise BudgetExceededError("enumeration node budget exhausted")

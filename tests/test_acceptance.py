@@ -1,62 +1,22 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete.
+Criteria 2-7 run the ``relpat.selfcheck`` suites at full size with fixed
+seeds and add their time budgets.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines as
+they complete.
 """
 
-import itertools
 import json
 import random
 import time
 
-import pytest
-
+from relpat import cli, selfcheck
 from relpat.core import Alphabet, Constraint, Mode, RelationalPattern
 from relpat.equivalence import ne_equivalent
-from relpat.inclusion import (
-    SigmaAssignment,
-    build_predicates,
-    good_form,
-    good_structure,
-    predicate_satisfied,
-    prop6_psi_parts,
-    satisfied_predicates,
-)
-from relpat.machines import (
-    CaConfiguration,
-    TapeUtm,
-    UtmConfiguration,
-    ca_encode,
-    ca_find_accepting_run,
-    ca_validate,
-    utm_encode_computation,
-    utm_is_halting,
-    utm_run,
-    utm_step,
-    utm_validate,
-)
 from relpat.matcher import match
-from relpat.reductions import CnfFormula, ReductionVariant as V, verify_reduction
-from relpat.relations import (
-    LengthProfile,
-    RelationKind as K,
-    is_subsequence,
-    length_profile,
-    primitive_root,
-    relation_holds,
-)
-from relpat.semantics import bounded_equal, enumerate_language
-from relpat import cli
+from relpat.relations import RelationKind as K
 
-from helpers import (
-    AB,
-    all_words,
-    ca_corruptions,
-    make_rp,
-    random_relational_pattern,
-    tiny_automata,
-    utm_corruptions,
-)
+from helpers import AB, make_rp
 
 
 def _verdict(number: int, name: str, failures: list) -> None:
@@ -90,17 +50,7 @@ def test_criterion_1_running_examples():
 
 def test_criterion_2_matcher_oracle_agreement():
     started = time.perf_counter()
-    rng = random.Random(20240)
-    words = all_words("ab", 8)
-    failures = []
-    for index in range(1000):
-        kind = list(K)[index % len(K)]
-        rp = random_relational_pattern(rng, kinds=[kind])
-        mode = rng.choice([Mode.E, Mode.NE])
-        language = enumerate_language(rp, mode, 8).words
-        for word in words:
-            if (match(word, rp, mode) is not None) != (word in language):
-                failures.append((rp, mode, word))
+    _, failures = selfcheck.matcher_oracle(random.Random(20240), patterns=1000, max_len=8)
     elapsed = time.perf_counter() - started
     if elapsed >= 300:
         failures.append(f"took {elapsed:.0f}s (budget 300s)")
@@ -108,161 +58,33 @@ def test_criterion_2_matcher_oracle_agreement():
 
 
 def test_criterion_3_relation_law_suites():
-    failures = []
-    words6 = all_words("ab", 6)
-
-    def canon(kind, w):
-        if kind is K.EQ:
-            return w
-        if kind is K.LEN_EQ:
-            return len(w)
-        if kind is K.ABELIAN_EQ:
-            return (w.count("a"), w.count("b"))
-        first = {}
-        return tuple(first.setdefault(ch, len(first)) for ch in w)
-
-    for kind in (K.EQ, K.LEN_EQ, K.ABELIAN_EQ, K.ALPHA_PERM):
-        for u in words6:
-            for v in words6:
-                if relation_holds(kind, u, v) != (canon(kind, u) == canon(kind, v)):
-                    failures.append(("equivalence-laws", kind, u, v))
-    nonempty = [w for w in words6 if w]
-    for u in nonempty:
-        for v in nonempty:
-            if relation_holds(K.COM_PLUS, u, v) != (primitive_root(u) == primitive_root(v)):
-                failures.append(("composplus-equivalence", u, v))
-    words4 = all_words("ab", 4)
-    for u in words4:
-        if not is_subsequence(u, u):
-            failures.append(("ssq-reflexive", u))
-        for v in words4:
-            if is_subsequence(u, v) and is_subsequence(v, u) and u != v:
-                failures.append(("ssq-antisymmetric", u, v))
-            for w in all_words("ab", 3):
-                if is_subsequence(w, u) and is_subsequence(u, v) and not is_subsequence(w, v):
-                    failures.append(("ssq-transitive", w, u, v))
-    for u in words6:
-        for v in words6:
-            if relation_holds(K.REVERSAL, u, v) != relation_holds(K.REVERSAL, v, u):
-                failures.append(("reversal-involution", u, v))
-            for kind in (K.SUBSEQ, K.STAR):
-                both = relation_holds(kind, u, v) and relation_holds(kind, v, u)
-                if both != (u == v):
-                    failures.append(("both-direction-collapse", kind, u, v))
-            for kind in K:
-                if not relation_holds(kind, u, v):
-                    continue
-                profile = length_profile(kind)
-                if profile is LengthProfile.EQUAL_LENGTHS and len(u) != len(v):
-                    failures.append(("profile", kind, u, v))
-                elif profile is LengthProfile.LEFT_AT_MOST_RIGHT and len(u) > len(v):
-                    failures.append(("profile", kind, u, v))
-                elif profile is LengthProfile.LEFT_MULTIPLE_OF_RIGHT and (
-                    len(v) != 0 and len(u) % len(v) != 0
-                ):
-                    failures.append(("profile", kind, u, v))
+    _, failures = selfcheck.relation_laws(max_len=6, order_len=4)
     _verdict(3, "relation law suites", failures)
-
-
-def _exhaustive_cnfs() -> list[CnfFormula]:
-    out = []
-    for num_vars in (1, 2):
-        literals = sorted(
-            [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
-        )
-        clauses = sorted(
-            {tuple(sorted(c)) for c in itertools.combinations_with_replacement(literals, 3)}
-        )
-        for n in (1, 2):
-            for chosen in itertools.combinations_with_replacement(clauses, n):
-                out.append(CnfFormula(num_vars, tuple(chosen)))
-    return out
-
-
-def _exhaustive_commute_cnfs() -> list[CnfFormula]:
-    # The commutation constructions require pairwise-distinct literals per
-    # clause, which needs at least two formula variables.
-    literals = [1, -1, 2, -2]
-    clauses = sorted({tuple(sorted(c)) for c in itertools.combinations(literals, 3)})
-    out = []
-    for n in (1, 2):
-        for chosen in itertools.combinations_with_replacement(clauses, n):
-            out.append(CnfFormula(2, tuple(chosen)))
-    return out
-
-
-def _random_cnf(rng: random.Random, distinct: bool) -> CnfFormula:
-    num_vars = rng.randint(2 if distinct else 1, 4)
-    literals = [v for v in range(1, num_vars + 1)] + [-v for v in range(1, num_vars + 1)]
-    clauses = []
-    for _ in range(rng.randint(1, 4)):
-        if distinct:
-            clauses.append(tuple(rng.sample(literals, 3)))
-        else:
-            clauses.append(tuple(rng.choice(literals) for _ in range(3)))
-    return CnfFormula(num_vars, tuple(clauses))
-
-
-EQUALITY_KINDS = (K.EQ, K.LEN_EQ, K.SUBSEQ, K.ABELIAN_EQ, K.ALPHA_PERM, K.REVERSAL, K.STAR)
 
 
 def test_criterion_4_reduction_soundness():
     started = time.perf_counter()
-    rng = random.Random(77)
-    failures = []
-    combos = (
-        [(V.ANGLUIN_NE, kind, False) for kind in EQUALITY_KINDS]
-        + [(V.JIANG_E, kind, False) for kind in EQUALITY_KINDS]
-        + [
-            (V.COMMUTE_NE, K.COM_STAR, True),
-            (V.COMMUTE_NE, K.COM_PLUS, True),
-            (V.COM_PLUS_E, None, True),
-            (V.COM_STAR_E, None, True),
-            (V.ONE_SIDED_STAR_E, None, False),
-            (V.ONE_SIDED_SUBSEQ_E, None, False),
-            (V.ONE_SIDED_STAR_NE, None, False),
-            (V.ONE_SIDED_SUBSEQ_NE, None, False),
-        ]
+    _, failures = selfcheck.reduction_soundness(
+        random.Random(77), max_clauses=2, random_per_combo=50
     )
-    plain = _exhaustive_cnfs()
-    commute = _exhaustive_commute_cnfs()
-    for variant, kind, needs_distinct in combos:
-        for phi in commute if needs_distinct else plain:
-            if not verify_reduction(variant, phi, kind):
-                failures.append(("exhaustive", variant, kind, phi))
-        for _ in range(50):
-            phi = _random_cnf(rng, needs_distinct)
-            if not verify_reduction(variant, phi, kind):
-                failures.append(("random", variant, kind, phi))
     elapsed = time.perf_counter() - started
     if elapsed >= 600:
         failures.append(f"took {elapsed:.0f}s (budget 600s)")
     _verdict(4, "reduction soundness (all variants)", failures)
 
 
-def test_criterion_5_equivalence_decider():
-    rng = random.Random(314)
-    failures = []
+def test_criterion_5_equivalence_decider(monkeypatch):
     decider_time = 0.0
-    pairs = 0
-    for _ in range(500):
-        kind = rng.choice([K.EQ, K.ABELIAN_EQ, K.COM_PLUS])
-        a = random_relational_pattern(rng, kinds=[kind], max_vars=4)
-        if rng.random() < 0.5:
-            b = random_relational_pattern(rng, kinds=[kind], max_vars=4)
-        else:
-            b = RelationalPattern(
-                a.alphabet,
-                a.symbols,
-                frozenset(Constraint(k, r, l) for k, l, r in a.constraints),
-            )
-        bound = max(len(a.symbols), len(b.symbols)) + 3
+
+    def timed_decider(a, b):
+        nonlocal decider_time
         begin = time.perf_counter()
-        fast = ne_equivalent(a, b)
+        verdict = ne_equivalent(a, b)
         decider_time += time.perf_counter() - begin
-        pairs += 1
-        if fast != bounded_equal(a, b, Mode.NE, bound):
-            failures.append((a, b))
+        return verdict
+
+    monkeypatch.setattr(selfcheck, "ne_equivalent", timed_decider)
+    pairs, failures = selfcheck.equivalence_decider(random.Random(314), pairs=500)
     if decider_time / pairs >= 0.001:
         failures.append(f"decider averaged {1000 * decider_time / pairs:.3f}ms per pair")
 
@@ -302,158 +124,20 @@ def _timed(thunk) -> float:
 
 
 def test_criterion_6_machines():
-    rng = random.Random(99)
-    failures = []
-    automata = tiny_automata()
-    if len(automata) < 10:
-        failures.append("fewer than 10 tiny automata")
-    for name, automaton in automata.items():
-        run = ca_find_accepting_run(automaton, 8)
-        if run is None:
-            failures.append((name, "no accepting run found"))
-            continue
-        if not ca_validate(ca_encode(run), automaton):
-            failures.append((name, "round-trip validation failed"))
-    reference = automata["increment-then-accept"]
-    word = ca_encode(ca_find_accepting_run(reference, 6))
-    corpus = ca_corruptions(word, reference)
-    if len(corpus) < 20:
-        failures.append("counter-machine corruption corpus too small")
-    for candidate in corpus:
-        if ca_validate(candidate, reference):
-            failures.append(("ca-corruption accepted", candidate))
-
-    for _ in range(1000):
-        config = UtmConfiguration(rng.randint(1, 15), rng.randint(0, 4095), rng.randint(0, 4095))
-        tape = TapeUtm.from_config(config)
-        stepped = utm_step(config)
-        if stepped is None:
-            if tape.step():
-                failures.append(("halt-disagreement", config))
-        else:
-            tape.step()
-            if tape.to_config() != stepped:
-                failures.append(("dual-sim disagreement", config))
-
-    halting = []
-    for state in range(1, 16):
-        for left in range(0, 48):
-            for right in range(0, 12):
-                trajectory = utm_run(UtmConfiguration(state, left, right), 50)
-                if utm_is_halting(trajectory[-1]):
-                    halting.append(trajectory)
-    if len(halting) < 20:
-        failures.append("too few halting computations found")
-    for trajectory in halting[:300]:
-        if not utm_validate(utm_encode_computation(trajectory), trajectory[0]):
-            failures.append(("utm round-trip failed", trajectory[0]))
-    longest = max(halting, key=len)
-    for candidate in utm_corruptions(utm_encode_computation(longest), longest):
-        if utm_validate(candidate, longest[0]):
-            failures.append(("utm-corruption accepted", candidate))
+    _, failures = selfcheck.machine_encoders(
+        random.Random(99), utm_samples=1000, left_codes=48, right_codes=12, round_trips=300
+    )
     _verdict(6, "machine encoders and validators", failures)
 
 
 def test_criterion_7_inclusion_constructions():
     started = time.perf_counter()
-    rng = random.Random(55)
-    failures = []
-
-    # Structural invariant of the non-erasing construction on five starts.
-    for initial in (
-        UtmConfiguration(1, 0, 0),
-        UtmConfiguration(10, 1, 0),
-        UtmConfiguration(7, 5, 3),
-        UtmConfiguration(15, 2, 9),
-        UtmConfiguration(3, 0, 6),
-    ):
-        tail, hats = prop6_psi_parts(initial)
-        for image in hats + [tail]:
-            if not (image[0] == "0" and image[-1] == "0" and "####" not in image):
-                failures.append(("frame-invariant", initial, image))
-
-    automata = tiny_automata()
-    reference = automata["increment-then-accept"]
-    triples = build_predicates(reference)
-
-    # Bad-form equivalence on 200 sampled assignments.
-    bad_form_preds = triples[:2]
-    for _ in range(200):
-        x_image = "".join(rng.choice("0#") for _ in range(rng.randint(0, 25)))
-        y_image = "".join(rng.choice("0#") for _ in range(rng.randint(0, 12)))
-        sigma = SigmaAssignment(x_image, y_image)
-        bad = "###" in x_image or "#" in y_image
-        if any(predicate_satisfied(sigma, t) for t in bad_form_preds) != bad:
-            failures.append(("bad-form", x_image, y_image))
-
-    # Good structure against the screen predicates on 200 sampled words
-    # (drawn hash-run limited so the samples stay of good form).
-    screens = triples[:13]
-
-    def hash_safe_word() -> str:
-        pieces: list[str] = []
-        length = rng.randint(0, 40)
-        while sum(len(p) for p in pieces) < length:
-            pieces.append(rng.choice(["0", "0", "00", "#", "##", "#0", "0#"]))
-        return "".join(pieces)[:40]
-
-    words = set()
-    attempts = 0
-    while len(words) < 170 and attempts < 10_000:
-        attempts += 1
-        candidate = hash_safe_word()
-        if "###" not in candidate:
-            words.add(candidate)
-    while len(words) < 200:
-        blocks = [
-            "##"
-            + "0" * rng.randint(1, 4)
-            + "#"
-            + "0" * rng.randint(1, 4)
-            + "#"
-            + "0" * rng.randint(1, 4)
-            for _ in range(rng.randint(1, 4))
-        ]
-        structured = "".join(blocks) + "##"
-        if len(structured) <= 40:
-            words.add(structured)
-    checked = 0
-    for word in sorted(words):
-        checked += 1
-        sigma = SigmaAssignment(word, "0" * (len(word) + 1))
-        hit = any(predicate_satisfied(sigma, t) for t in screens)
-        if hit == good_structure(word):
-            failures.append(("good-structure", word))
-    if checked < 200:
-        failures.append(f"only {checked} structure samples")
-
-    # End-to-end law on two tiny automata.
-    for name in ("increment-then-accept", "two-counters"):
-        automaton = automata[name]
-        preds = build_predicates(automaton)
-        run = ca_find_accepting_run(automaton, 8)
-        encodings = {ca_encode(run), ca_encode([CaConfiguration(0, 0, 0)])}
-        candidates = set(encodings)
-        for base in encodings:
-            for _ in range(25):
-                pos = rng.randrange(len(base))
-                candidates.add(base[:pos] + rng.choice("0#") + base[pos + 1 :])
-                cut = rng.randrange(len(base))
-                candidates.add(base[:cut] + base[cut + 1 :])
-        candidates.update({"", "##", "0#0", "##0#0#0##00#0#0##"})
-        checked = 0
-        for word in sorted(candidates):
-            if len(word) > 30:
-                continue
-            sigma = SigmaAssignment(word, "0" * (len(word) + 1))
-            if not good_form(sigma):
-                continue
-            checked += 1
-            if (not satisfied_predicates(sigma, preds)) != ca_validate(word, automaton):
-                failures.append(("end-to-end", name, word))
-        if checked < 25:
-            failures.append((name, f"only {checked} end-to-end samples"))
-
+    _, failures = selfcheck.inclusion_constructions(
+        random.Random(55),
+        samples=200,
+        automata=("increment-then-accept", "two-counters"),
+        mutations=25,
+    )
     elapsed = time.perf_counter() - started
     if elapsed >= 900:
         failures.append(f"took {elapsed:.0f}s (budget 900s)")

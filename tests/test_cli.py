@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relpat import matcher
 from relpat.cli import main
 from relpat.machines import UtmConfiguration, utm_encode_computation
 
@@ -58,14 +59,36 @@ def test_enum_sorted_output(beta_file, capsys):
     assert capsys.readouterr().out.splitlines() == ["acca", "bccb", "cccc"]
 
 
-def test_enum_recursion_limit_is_resource_guard(tmp_path, capsys):
-    # The bounded-language oracle recurses once per variable; past Python's
-    # recursion limit the CLI must refuse (exit 2), not answer "false" (exit 1).
+def _variables_only(tmp_path, count: int) -> str:
     path = tmp_path / "deep.rp"
-    variables = " ".join(f"x{i}" for i in range(1, 1201))
+    variables = " ".join(f"x{i}" for i in range(1, count + 1))
     path.write_text(f"alphabet:ab; pattern: {variables}\n", encoding="utf-8")
-    assert main(["enum", "--pattern", str(path), "--mode", "ne", "--max-len", "1200"]) == 2
+    return str(path)
+
+
+def test_enum_recursion_limit_is_resource_guard(tmp_path, capsys):
+    # 1,200 non-erasing variables with max length 1,200 admit only the
+    # all-single-letter images: 2**1200 candidates exhaust the enumeration
+    # node budget, and the CLI must refuse (exit 2), not answer "false" (exit 1).
+    path = _variables_only(tmp_path, 1200)
+    assert main(["enum", "--pattern", path, "--mode", "ne", "--max-len", "1200"]) == 2
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_enum_many_variables_is_not_bounded_by_recursion(tmp_path, capsys):
+    path = _variables_only(tmp_path, 1200)
+    assert main(["enum", "--pattern", path, "--mode", "e", "--max-len", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["", "a", "b"]
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_are_resource_guard(beta_file, monkeypatch, capsys, error):
+    def exhausted(*args, **kwargs):
+        raise error("exhausted")
+
+    monkeypatch.setattr(matcher, "match", exhausted)
+    assert main(["member", "--pattern", beta_file, "--word", "abccba", "--mode", "ne"]) == 2
+    assert "resource guard: exhausted" in capsys.readouterr().err
 
 
 def test_equiv_same_file(tmp_path, capsys):

@@ -11,6 +11,8 @@ from relpat.core import (
     print_relational_pattern,
     Mode,
 )
+from relpat.machines import parse_automaton
+from relpat.reductions import read_dimacs
 from relpat.relations import RelationKind
 
 from helpers import make_rp
@@ -143,3 +145,19 @@ def normal_patterns(draw):
 @given(normal_patterns())
 def test_parse_print_round_trip(rp):
     assert parse_relational_pattern(print_relational_pattern(rp)) == rp
+
+
+_PARSER_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="abcx0123456789 \t\n:;,()-+#>qpnf/%"),
+)
+
+
+@pytest.mark.parametrize("parse", [parse_document, parse_automaton, read_dimacs])
+@settings(max_examples=300, deadline=None)
+@given(text=_PARSER_TEXT)
+def test_parsers_raise_only_syntax_or_value_errors(parse, text):
+    try:
+        parse(text)
+    except ValueError:  # PatternSyntaxError is a ValueError
+        pass

@@ -27,15 +27,9 @@ from relpat.inclusion import (
     simple_to_triple,
     thm3_simple_predicates,
 )
-from relpat.machines import (
-    CaConfiguration,
-    UtmConfiguration,
-    ca_encode,
-    ca_find_accepting_run,
-    ca_validate,
-    utm_encode_config,
-)
+from relpat.machines import UtmConfiguration, ca_validate, utm_encode_config
 from relpat.relations import RelationKind as K
+from relpat.selfcheck import good_form_mutants
 
 from helpers import all_words, tiny_automata
 
@@ -209,27 +203,12 @@ def test_end_to_end_predicates_characterize_accepting_runs():
     for name in ("increment-then-accept", "two-counters"):
         automaton = AUTOMATA[name]
         triples = build_predicates(automaton)
-        run = ca_find_accepting_run(automaton, 8)
-        encodings = {ca_encode(run), ca_encode([CaConfiguration(0, 0, 0)])}
-        candidates = set(encodings)
-        for base in encodings:
-            for _ in range(20):
-                pos = rng.randrange(len(base))
-                candidates.add(base[:pos] + rng.choice("0#") + base[pos + 1 :])
-                cut = rng.randrange(len(base))
-                candidates.add(base[:cut] + base[cut + 1 :])
-        candidates.update({"", "##", "0#0", "##0#0#0##00#0#0##"})
-        checked = 0
-        for word in sorted(candidates):
-            if len(word) > 30:
-                continue
+        words = good_form_mutants(rng, automaton, 20)
+        assert len(words) >= 25
+        for word in words:
             sigma = SigmaAssignment(word, "0" * (len(word) + 1))
-            if not good_form(sigma):
-                continue
-            checked += 1
             none_satisfied = not satisfied_predicates(sigma, triples)
             assert none_satisfied == ca_validate(word, automaton), (name, word)
-        assert checked >= 25
 
 
 # -- non-erasing / abelian construction ---------------------------------------

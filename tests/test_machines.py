@@ -21,10 +21,10 @@ from relpat.machines import (
     utm_encode_computation,
     utm_encode_config,
     utm_is_halting,
-    utm_run,
     utm_step,
     utm_validate,
 )
+from relpat.selfcheck import halting_computations
 
 from helpers import no_run_automaton, tiny_automata
 
@@ -221,19 +221,8 @@ def test_encode_decode_round_trip():
         assert utm_decode_computation(utm_encode_computation(configs)) == configs
 
 
-def _halting_trajectories(limit: int = 50) -> list[list[UtmConfiguration]]:
-    found = []
-    for state in range(1, 16):
-        for left in range(0, 40):
-            for right in range(0, 10):
-                trajectory = utm_run(UtmConfiguration(state, left, right), limit)
-                if utm_is_halting(trajectory[-1]):
-                    found.append(trajectory)
-    return found
-
-
 def test_validate_accepts_simulated_halting_computations():
-    trajectories = _halting_trajectories()
+    trajectories = halting_computations(40, 10)
     assert len(trajectories) >= 20
     assert any(len(t) >= 5 for t in trajectories)
     for trajectory in trajectories[:200]:
@@ -254,7 +243,7 @@ def test_validate_halting_successor_convention():
 def test_validate_rejects_utm_corruption_corpus():
     from helpers import utm_corruptions
 
-    trajectory = max(_halting_trajectories(), key=len)
+    trajectory = max(halting_computations(40, 10), key=len)
     word = utm_encode_computation(trajectory)
     initial = trajectory[0]
     corpus = utm_corruptions(word, trajectory)
@@ -264,7 +253,7 @@ def test_validate_rejects_utm_corruption_corpus():
 
 
 def test_validate_rejects_wrong_start():
-    trajectory = _halting_trajectories()[0]
+    trajectory = halting_computations(40, 10)[0]
     word = utm_encode_computation(trajectory)
     wrong = UtmConfiguration(
         trajectory[0].state % 15 + 1, trajectory[0].left_code, trajectory[0].right_code

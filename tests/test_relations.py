@@ -12,6 +12,7 @@ from relpat.relations import (
     primitive_root,
     relation_holds,
 )
+from relpat.selfcheck import canonical_key, fits_length_profile
 
 from helpers import all_words
 
@@ -104,19 +105,10 @@ def test_com_plus_epsilon_cases():
 def test_equivalence_laws_via_canonical_keys(kind):
     # relation_holds must coincide with equality of a canonical key, which
     # gives reflexivity, symmetry and transitivity over all pairs at once.
-    def key(w):
-        if kind is K.EQ:
-            return w
-        if kind is K.LEN_EQ:
-            return len(w)
-        if kind is K.ABELIAN_EQ:
-            return tuple(sorted(parikh_vector(w).items()))
-        first: dict[str, int] = {}
-        return tuple(first.setdefault(ch, len(first)) for ch in w)
-
     for u in WORDS6:
         for v in WORDS6:
-            assert relation_holds(kind, u, v) == (key(u) == key(v))
+            expected = canonical_key(kind, u) == canonical_key(kind, v)
+            assert relation_holds(kind, u, v) == expected, (u, v)
 
 
 def test_com_plus_equivalence_on_nonempty_words():
@@ -162,17 +154,10 @@ def test_length_profile_values():
 
 def test_length_profile_soundness_exhaustive():
     for kind in K:
-        profile = length_profile(kind)
         for u in WORDS6:
             for v in WORDS6[:64]:
-                if not relation_holds(kind, u, v):
-                    continue
-                if profile is LengthProfile.EQUAL_LENGTHS:
-                    assert len(u) == len(v)
-                elif profile is LengthProfile.LEFT_AT_MOST_RIGHT:
-                    assert len(u) <= len(v)
-                elif profile is LengthProfile.LEFT_MULTIPLE_OF_RIGHT:
-                    assert len(v) == 0 or len(u) % len(v) == 0
+                if relation_holds(kind, u, v):
+                    assert fits_length_profile(kind, u, v), (kind, u, v)
 
 
 def test_letter_antisymmetric_equivalence_flags():

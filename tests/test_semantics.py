@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relpat.core import Alphabet, BudgetExceededError, Constraint, Mode
 from relpat.matcher import match
 from relpat.relations import RelationKind as K
 from relpat.semantics import (
+    _compositions,
     apply,
     bounded_equal,
     bounded_included,
@@ -178,3 +181,14 @@ def test_bounded_equal_invariant_under_renaming():
 def test_bounded_included_requires_shared_alphabet():
     with pytest.raises(ValueError):
         bounded_included(make_rp((1,)), make_rp((1,), alphabet=ABC), Mode.E, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9), st.lists(st.integers(0, 2), max_size=5))
+def test_compositions_match_filtered_product(total, mins):
+    expected = [
+        lens
+        for lens in itertools.product(range(total + 1), repeat=len(mins))
+        if sum(lens) == total and all(n >= low for n, low in zip(lens, mins))
+    ]
+    assert list(_compositions(total, mins)) == expected
