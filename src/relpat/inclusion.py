@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import Alphabet, Constraint, Mode, PatternSymbol, RelationalPattern
-from .machines import TwoCounterAutomaton, UtmConfiguration, utm_encode_config
+from .machines import RUN_SHAPE, TwoCounterAutomaton, UtmConfiguration, utm_encode_config
 from .matcher import DEFAULT_NODE_BUDGET, MatchEquation, MatchProblem, solve_system
 from .relations import RelationKind
 
@@ -54,12 +54,9 @@ def good_form(sigma: SigmaAssignment) -> bool:
     )
 
 
-_GOOD_STRUCTURE = re.compile(r"(?:##0+#0+#0+)+##\Z")
-
-
 def good_structure(word: str) -> bool:
     """Membership in (##0+#0+#0+)+## — the shape of encoded computations."""
-    return bool(_GOOD_STRUCTURE.fullmatch(word))
+    return bool(RUN_SHAPE.fullmatch(word))
 
 
 # -- simple predicates -------------------------------------------------------

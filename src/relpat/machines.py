@@ -147,14 +147,14 @@ def ca_encode(run: Iterable[CaConfiguration], params: EncodingParams = EncodingP
     return "##" + "##".join(ca_encode_config(c, params) for c in configs) + "##"
 
 
-_RUN_SHAPE = re.compile(r"(?:##0+#0+#0+)+##\Z")
+RUN_SHAPE = re.compile(r"(?:##0+#0+#0+)+##\Z")
 
 
 def ca_decode(
     word: str, automaton: TwoCounterAutomaton, params: EncodingParams = EncodingParams()
 ) -> Optional[list[CaConfiguration]]:
     """Decode an encoded configuration sequence, or None when malformed."""
-    if not _RUN_SHAPE.fullmatch(word):
+    if not RUN_SHAPE.fullmatch(word):
         return None
     configs = []
     for block in word[2:-2].split("##"):
@@ -400,7 +400,7 @@ def utm_encode_computation(configs: Iterable[UtmConfiguration]) -> str:
 
 
 def utm_decode_computation(word: str) -> Optional[list[UtmConfiguration]]:
-    if not _RUN_SHAPE.fullmatch(word):
+    if not RUN_SHAPE.fullmatch(word):
         return None
     configs = []
     for block in word[2:-2].split("##"):

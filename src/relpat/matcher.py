@@ -13,11 +13,13 @@ explicit stack rather than the Python call stack, so its depth is bounded
 only by the node budget: patterns of thousands of symbols, such as the
 SAT-reduction instances, do not hit the recursion limit.
 
-Pruning (switchable, never verdict-changing):
+Pruning (always on, never verdict-changing):
   * equal-length constraint classes share one forced length,
   * subsequence / star constraints restrict candidate lengths against
     already-bound partners,
-  * remaining-suffix length and per-letter terminal counts must fit.
+  * the remaining suffix's length and letter floor -- its terminals plus
+    what bound images and bound constraint partners force on its
+    variables -- must fit in the rest of the target.
 
 Failed search states are memoized keyed on the bindings that can still
 influence the remaining suffix, which makes the anchored blocks of the
@@ -93,10 +95,9 @@ _VAR = 1
 
 
 class _Solver:
-    def __init__(self, problem: MatchProblem, node_budget: int, length_pruning: bool):
+    def __init__(self, problem: MatchProblem, node_budget: int):
         self.mode_min = problem.mode.min_len
         self.budget = node_budget
-        self.length_pruning = length_pruning
         self.bindings: dict[int, str] = {}
 
         # Compile each equation into merged terminal runs and variable items.
@@ -148,7 +149,7 @@ class _Solver:
         # Per (equation, item) suffix tables, built in one reverse pass over
         # each equation (equations last to first, since variables of later
         # equations still matter to the memo key):
-        #   suffix_min / suffix_counts: length floor and terminal letter counts;
+        #   suffix_counts: terminal letter counts;
         #   relevant: variables whose bindings can still influence the suffix;
         #   suffix_term_len / suffix_need_vars / suffix_plain_count: terminal
         #   length, variables that can carry letter obligations (constrained or
@@ -160,7 +161,6 @@ class _Solver:
         tables = []
         for compiled in reversed(self.items):
             size = len(compiled)
-            mins = [0] * (size + 1)
             counts: list[dict[str, int]] = [{}] * (size + 1)
             rels: list[tuple[int, ...]] = [tuple(sorted(relevant))] * (size + 1)
             term_lens = [0] * (size + 1)
@@ -174,14 +174,12 @@ class _Solver:
                 rels[j] = rels[j + 1]
                 if tag == _TERM:
                     text: str = payload  # type: ignore[assignment]
-                    mins[j] = mins[j + 1] + len(text)
                     term_lens[j] = term_lens[j + 1] + len(text)
                     running = dict(running)
                     for ch in text:
                         running[ch] = running.get(ch, 0) + 1
                 else:
                     var: int = payload  # type: ignore[assignment]
-                    mins[j] = mins[j + 1] + self.mode_min
                     term_lens[j] = term_lens[j + 1]
                     if var in interesting:
                         need_vars[j] = (var,) + need_vars[j]
@@ -195,10 +193,9 @@ class _Solver:
                         relevant.update(class_members[self.class_root[var]])
                         rels[j] = tuple(sorted(relevant))
                 counts[j] = running
-            tables.append((mins, counts, rels, term_lens, need_vars, plain))
+            tables.append((counts, rels, term_lens, need_vars, plain))
         tables.reverse()
         (
-            self.suffix_min,
             self.suffix_counts,
             self.relevant,
             self.suffix_term_len,
@@ -219,34 +216,26 @@ class _Solver:
             self.target_cum.append(cum)
 
         self.fail_memo: set[tuple] = set()
-        self.needs_cache: dict[tuple, tuple[int, dict[str, int]]] = {}
         self.var_needs_cache: dict[tuple, tuple[int, dict[str, int]]] = {}
 
     # -- feasibility helpers ------------------------------------------------
 
     def _candidate_context(
-        self, key: tuple, ei: int, item: int, t: int
+        self, ei: int, item: int, t: int
     ) -> tuple[int, Optional[list[tuple[list[int], int]]]]:
         """Upper length bound and per-letter count checks for one choice point.
 
         Returns (hi, checks); checks is None when some needed letter does not
         occur in the target at all, so no candidate can succeed.
         """
-        target = self.targets[ei]
-        hi = len(target) - t - self.suffix_min[ei][item + 1]
+        dyn_len, extra = self._dynamic_suffix_needs(ei, item + 1)
+        hi = len(self.targets[ei]) - t - self.suffix_term_len[ei][item + 1] - dyn_len
         counts = self.suffix_counts[ei][item + 1]
-        if self.length_pruning:
-            cached = self.needs_cache.get(key)
-            if cached is None:
-                cached = self._dynamic_suffix_needs(ei, item + 1)
-                self.needs_cache[key] = cached
-            dyn_len, extra = cached
-            hi = min(hi, len(target) - t - self.suffix_term_len[ei][item + 1] - dyn_len)
-            if extra:
-                merged = dict(counts)
-                for ch, n in extra.items():
-                    merged[ch] = merged.get(ch, 0) + n
-                counts = merged
+        if extra:
+            merged = dict(counts)
+            for ch, n in extra.items():
+                merged[ch] = merged.get(ch, 0) + n
+            counts = merged
         cum = self.target_cum[ei]
         checks: list[tuple[list[int], int]] = []
         for ch, need in counts.items():
@@ -334,50 +323,49 @@ class _Solver:
         """Candidate segment lengths for ``var`` within [lo, hi], ascending."""
         if hi < lo:
             return []
-        if self.length_pruning:
-            root = self.class_root[var]
-            forced = self.class_len[root]
-            if forced is not None:
-                return [forced] if lo <= forced <= hi else []
-            multiples_of: list[int] = []
-            divisors_of: list[int] = []
-            for kind, left, right in self.cons_of[var]:
-                other = right if left == var else left
-                if other == var:
-                    continue
-                other_img = self.bindings.get(other)
-                if other_img is None:
-                    continue
-                if kind is RelationKind.SUBSEQ:
-                    if left == var:
-                        hi = min(hi, len(other_img))
+        root = self.class_root[var]
+        forced = self.class_len[root]
+        if forced is not None:
+            return [forced] if lo <= forced <= hi else []
+        multiples_of: list[int] = []
+        divisors_of: list[int] = []
+        for kind, left, right in self.cons_of[var]:
+            other = right if left == var else left
+            if other == var:
+                continue
+            other_img = self.bindings.get(other)
+            if other_img is None:
+                continue
+            if kind is RelationKind.SUBSEQ:
+                if left == var:
+                    hi = min(hi, len(other_img))
+                else:
+                    lo = max(lo, len(other_img))
+            elif kind is RelationKind.STAR:
+                if left == var:
+                    # var's image must lie in {other}^*.
+                    if not other_img:
+                        hi = min(hi, 0)
                     else:
-                        lo = max(lo, len(other_img))
-                elif kind is RelationKind.STAR:
-                    if left == var:
-                        # var's image must lie in {other}^*.
-                        if not other_img:
-                            hi = min(hi, 0)
-                        else:
-                            multiples_of.append(len(other_img))
-                    else:
-                        # other's image must lie in {var}^*.
-                        if other_img:
-                            lo = max(lo, 1)
-                            divisors_of.append(len(other_img))
-                elif kind is RelationKind.COM_PLUS:
-                    lo = max(lo, 1)
-            if hi < lo:
-                return []
-            if multiples_of or divisors_of:
-                out = []
-                for ell in range(lo, hi + 1):
-                    if any(ell % m for m in multiples_of):
-                        continue
-                    if divisors_of and (ell == 0 or any(d % ell for d in divisors_of)):
-                        continue
-                    out.append(ell)
-                return out
+                        multiples_of.append(len(other_img))
+                else:
+                    # other's image must lie in {var}^*.
+                    if other_img:
+                        lo = max(lo, 1)
+                        divisors_of.append(len(other_img))
+            elif kind is RelationKind.COM_PLUS:
+                lo = max(lo, 1)
+        if hi < lo:
+            return []
+        if multiples_of or divisors_of:
+            out = []
+            for ell in range(lo, hi + 1):
+                if any(ell % m for m in multiples_of):
+                    continue
+                if divisors_of and (ell == 0 or any(d % ell for d in divisors_of)):
+                    continue
+                out.append(ell)
+            return out
         return list(range(lo, hi + 1))
 
     # -- search -------------------------------------------------------------
@@ -418,14 +406,14 @@ class _Solver:
                     )
                     if key in self.fail_memo:
                         break
-                    hi, checks = self._candidate_context(key, ei, item, t)
+                    hi, checks = self._candidate_context(ei, item, t)
                     if checks is None:
                         self.fail_memo.add(key)
                         break
                     root = self.class_root[var]
                     stack.append(_ChoicePoint(
                         key, ei, item, t, var, root,
-                        self.length_pruning and self.class_len[root] is None,
+                        self.class_len[root] is None,
                         iter(self._length_candidates(var, self.mode_min, hi)),
                         checks,
                     ))
@@ -510,14 +498,13 @@ def solve_system(
     problem: MatchProblem,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    length_pruning: bool = True,
 ) -> Optional[Substitution]:
     """Find one assignment satisfying all equations and constraints, or None.
 
     Complete: returns None only when no solution exists (within the node
     budget; exceeding it raises BudgetExceededError instead of guessing).
     """
-    witness = _Solver(problem, node_budget, length_pruning).solve()
+    witness = _Solver(problem, node_budget).solve()
     if witness is not None:
         _assert_solution(problem, witness)
     return witness
@@ -542,14 +529,13 @@ def match(
     mode: Mode,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    length_pruning: bool = True,
 ) -> Optional[Substitution]:
     """Decide word membership; returns a valid witness substitution or None."""
     rp.alphabet.validate_word(word)
     if not rp.variables:
         return {} if rp.terminal_text() == word else None
     problem = MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode)
-    return solve_system(problem, node_budget=node_budget, length_pruning=length_pruning)
+    return solve_system(problem, node_budget=node_budget)
 
 
 def count_witnesses(
@@ -559,7 +545,6 @@ def count_witnesses(
     cap: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    length_pruning: bool = True,
 ) -> int:
     """Number of distinct valid witnesses for the word, truncated at cap."""
     if cap < 1:
@@ -568,4 +553,4 @@ def count_witnesses(
     if not rp.variables:
         return 1 if rp.terminal_text() == word else 0
     problem = MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode)
-    return _Solver(problem, node_budget, length_pruning).count(cap)
+    return _Solver(problem, node_budget).count(cap)

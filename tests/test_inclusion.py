@@ -22,14 +22,12 @@ from relpat.inclusion import (
     predicate_satisfied,
     prop6_predicates,
     prop6_psi_parts,
-    satisfied_predicates,
     simple_predicate_holds,
     simple_to_triple,
     thm3_simple_predicates,
 )
-from relpat.machines import UtmConfiguration, ca_validate, utm_encode_config
+from relpat.machines import UtmConfiguration, utm_encode_config
 from relpat.relations import RelationKind as K
-from relpat.selfcheck import good_form_mutants
 
 from helpers import all_words, tiny_automata
 
@@ -196,19 +194,6 @@ def test_companion_pattern_relation_shape():
         assert fan_counts[a] == 6
     expected_vars = 2 * mu + sum(5 + len(t.variable_pool) for t in triples)
     assert len(beta.variables) == expected_vars
-
-
-def test_end_to_end_predicates_characterize_accepting_runs():
-    rng = random.Random(44)
-    for name in ("increment-then-accept", "two-counters"):
-        automaton = AUTOMATA[name]
-        triples = build_predicates(automaton)
-        words = good_form_mutants(rng, automaton, 20)
-        assert len(words) >= 25
-        for word in words:
-            sigma = SigmaAssignment(word, "0" * (len(word) + 1))
-            none_satisfied = not satisfied_predicates(sigma, triples)
-            assert none_satisfied == ca_validate(word, automaton), (name, word)
 
 
 # -- non-erasing / abelian construction ---------------------------------------

@@ -9,12 +9,14 @@ import pytest
 import relpat
 
 from relpat.core import Alphabet, BudgetExceededError, Constraint, Mode
+from relpat.inclusion import SigmaAssignment, build_predicates, predicate_satisfied
 from relpat.matcher import MatchEquation, MatchProblem, count_witnesses, match, solve_system
+from relpat.reductions import CnfFormula, ReductionVariant, generate
 from relpat.relations import RelationKind as K
 from relpat import semantics
 from relpat.selfcheck import matcher_oracle
 
-from helpers import all_witnesses, all_words, make_rp, random_relational_pattern
+from helpers import all_witnesses, all_words, make_rp, random_relational_pattern, tiny_automata
 
 REV_PATTERN = make_rp((1, "c", "c", 2), {Constraint(K.REVERSAL, 1, 2)}, alphabet=Alphabet.of("abc"))
 INTRO_PATTERN = make_rp((1, "a", "a", 3, "b", 2), {Constraint(K.EQ, 1, 3)})
@@ -122,9 +124,7 @@ def test_pruning_never_changes_verdict():
         rp = random_relational_pattern(rng)
         mode = rng.choice([Mode.E, Mode.NE])
         for word in rng.sample(words, 12):
-            pruned = match(word, rp, mode, length_pruning=True)
-            unpruned = match(word, rp, mode, length_pruning=False)
-            assert (pruned is None) == (unpruned is None)
+            assert (match(word, rp, mode) is None) == (not all_witnesses(word, rp, mode))
 
 
 def test_witness_is_always_valid():
@@ -141,7 +141,7 @@ def test_witness_is_always_valid():
 
 def test_first_witness_and_count_match_brute_force():
     # Pins the search order (least image lengths, in variable order, first)
-    # and count_witnesses on constrained patterns, for both pruning settings.
+    # and count_witnesses on constrained patterns.
     rng = random.Random(11)
     words = all_words("ab", 6)
     for _ in range(30):
@@ -152,11 +152,50 @@ def test_first_witness_and_count_match_brute_force():
                 least = min(
                     expected, key=lambda h: tuple(len(h[v]) for v in rp.variables), default=None
                 )
-                for pruning in (True, False):
-                    assert match(word, rp, mode, length_pruning=pruning) == least
-                    assert count_witnesses(
-                        word, rp, mode, cap=10**6, length_pruning=pruning
-                    ) == len(expected)
+                assert match(word, rp, mode) == least
+                assert count_witnesses(word, rp, mode, cap=10**6) == len(expected)
+
+
+def _member(word, rp, mode):
+    return lambda n: match(word, rp, mode, node_budget=n) is not None
+
+
+def _reduction_member(variant, clauses, kind=None):
+    inst = generate(variant, CnfFormula(3, clauses), kind)
+    return _member(inst.word, inst.rp, inst.mode)
+
+
+def test_node_counts_pinned():
+    # Each query needs exactly `nodes` search nodes: it answers within that
+    # budget and raises one below it.  Any change to the pruning layers or the
+    # fail memo moves one of these counts.
+    unsat = tuple((a, 2 * b, 3 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+    sat = ((1, 2, -3), (-1, 2, 3), (1, -2, 3))
+    triples = build_predicates(tiny_automata()["increment-then-accept"])
+    sigma = SigmaAssignment("##0#0#0##0#00#0##", "0" * 18)
+    rev = make_rp((1, "c", 2, 3), {Constraint(K.REVERSAL, 1, 2)}, alphabet=Alphabet.of("abc"))
+    repeat = make_rp((1, "a", 2, 3, 4), {Constraint(K.EQ, 1, 3)})
+    classes = make_rp((1, 2, "b", 3), {Constraint(K.LEN_EQ, 1, 2), Constraint(K.ABELIAN_EQ, 2, 3)})
+    ssq_star = make_rp((1, 2, 3, 4), {Constraint(K.SUBSEQ, 1, 3), Constraint(K.STAR, 4, 2)})
+    ssq = make_rp((1, 2, 3), {Constraint(K.SUBSEQ, 1, 3)})
+    cases = [
+        ("E repeat", _member("abaabbaab", repeat, Mode.E), True, 12),
+        ("NE reversal", _member("abccbaabccba", rev, Mode.NE), False, 11),
+        ("equal-length class", _member("abbbabbbab", classes, Mode.NE), True, 8),
+        ("ssq and star", _member("abababbab", ssq_star, Mode.E), True, 22),
+        ("count ssq", lambda n: count_witnesses("abababbab", ssq, Mode.E, 10**6, node_budget=n), 26, 160),
+        ("angluin-ne SAT", _reduction_member(ReductionVariant.ANGLUIN_NE, sat, K.EQ), True, 33),
+        ("angluin-ne UNSAT", _reduction_member(ReductionVariant.ANGLUIN_NE, unsat, K.EQ), False, 2443),
+        ("jiang-e UNSAT", _reduction_member(ReductionVariant.JIANG_E, unsat, K.EQ), False, 2235),
+        ("onesided-ssq-e UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_SUBSEQ_E, unsat), False, 431),
+        ("onesided-star-ne UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_STAR_NE, unsat), False, 915),
+        ("predicate 3", lambda n: predicate_satisfied(sigma, triples[2], node_budget=n), False, 1593),
+        ("predicate 18", lambda n: predicate_satisfied(sigma, triples[17], node_budget=n), True, 184),
+    ]
+    for name, query, expected, nodes in cases:
+        assert query(nodes) == expected, name
+        with pytest.raises(BudgetExceededError):
+            query(nodes - 1)
 
 
 @pytest.mark.parametrize(
