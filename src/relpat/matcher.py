@@ -24,6 +24,15 @@ Pruning (always on, never verdict-changing):
 Failed search states are memoized keyed on the bindings that can still
 influence the remaining suffix, which makes the anchored blocks of the
 SAT-reduction instances independent of each other.
+
+Each search splits into pattern-level tables and per-target state.  The
+tables (compiled items, constraint index, equal-length classes, suffix
+floors, memo-relevant variables) depend only on the equations' patterns and
+the constraints; ``_compile`` builds them once and keeps the last
+``_COMPILE_CACHE_SIZE`` (16) in an LRU cache, so the many words asked of one
+pattern share them.  They are immutable and linear in the pattern: each
+suffix reads a prefix of one ordered tuple.  Targets, bindings, class
+lengths, the node budget and both memos are built fresh for every search.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
+from types import MappingProxyType
 from typing import Iterator, Optional
 
 from .core import (
@@ -93,20 +103,32 @@ class MatchProblem:
 _TERM = 0
 _VAR = 1
 
+# Compiled problems kept by ``_compile``: enough for many words asked of a
+# few patterns in turn, few enough that the cached tables stay small.
+_COMPILE_CACHE_SIZE = 16
 
-class _Solver:
-    def __init__(self, problem: MatchProblem, node_budget: int):
-        self.mode_min = problem.mode.min_len
-        self.budget = node_budget
-        self.bindings: dict[int, str] = {}
 
+class _Tables:
+    """The pattern-level tables of a match problem, shared by every search on it.
+
+    They depend only on the equations' patterns and the constraints, never on
+    the targets or the mode, and are never written after construction: every
+    field is a tuple or a read-only mapping.  Tables indexed ``[ei][item]``
+    describe the suffix of equation ``ei`` from ``item`` on.
+    """
+
+    __slots__ = (
+        "items", "cons_of", "class_root", "roots", "suffix_counts", "suffix_term_len",
+        "suffix_plain_count", "need_vars", "need_count", "relevant", "relevant_count",
+    )
+
+    def __init__(self, patterns: tuple[tuple[PatternSymbol, ...], ...], constraints: frozenset[Constraint]):
         # Compile each equation into merged terminal runs and variable items.
-        self.items: list[list[tuple[int, object]]] = []
-        self.targets: list[str] = []
-        for eq in problem.equations:
+        items = []
+        for pattern in patterns:
             compiled: list[tuple[int, object]] = []
             run: list[str] = []
-            for sym in eq.pattern:
+            for sym in pattern:
                 if isinstance(sym, str):
                     run.append(sym)
                 else:
@@ -116,15 +138,16 @@ class _Solver:
                     compiled.append((_VAR, sym))
             if run:
                 compiled.append((_TERM, "".join(run)))
-            self.items.append(compiled)
-            self.targets.append(eq.target)
+            items.append(tuple(compiled))
+        self.items = tuple(items)
 
-        all_vars = sorted({s for eq in problem.equations for s in eq.pattern if isinstance(s, int)})
-        self.cons_of: dict[int, list[Constraint]] = {v: [] for v in all_vars}
-        for con in problem.constraints:
-            self.cons_of[con.left].append(con)
+        all_vars = sorted({s for pattern in patterns for s in pattern if isinstance(s, int)})
+        cons_of: dict[int, list[Constraint]] = {v: [] for v in all_vars}
+        for con in constraints:
+            cons_of[con.left].append(con)
             if con.right != con.left:
-                self.cons_of[con.right].append(con)
+                cons_of[con.right].append(con)
+        self.cons_of = MappingProxyType({v: tuple(cons) for v, cons in cons_of.items()})
 
         # Equal-length classes (union-find over EQUAL_LENGTHS-profile constraints).
         parent = {v: v for v in all_vars}
@@ -135,85 +158,105 @@ class _Solver:
                 v = parent[v]
             return v
 
-        for kind, left, right in problem.constraints:
+        for kind, left, right in constraints:
             if length_profile(kind) is LengthProfile.EQUAL_LENGTHS:
                 rl, rr = find(left), find(right)
                 if rl != rr:
                     parent[rl] = rr
-        self.class_root = {v: find(v) for v in all_vars}
-        class_members: dict[int, set[int]] = {}
+        class_root = {v: find(v) for v in all_vars}
+        class_members: dict[int, list[int]] = {}
         for v in all_vars:
-            class_members.setdefault(self.class_root[v], set()).add(v)
-        self.class_len: dict[int, Optional[int]] = {root: None for root in class_members}
+            class_members.setdefault(class_root[v], []).append(v)
+        self.class_root = MappingProxyType(class_root)
+        self.roots = tuple(class_members)
 
-        # Per (equation, item) suffix tables, built in one reverse pass over
-        # each equation (equations last to first, since variables of later
-        # equations still matter to the memo key):
-        #   suffix_counts: terminal letter counts;
-        #   relevant: variables whose bindings can still influence the suffix;
-        #   suffix_term_len / suffix_need_vars / suffix_plain_count: terminal
-        #   length, variables that can carry letter obligations (constrained or
-        #   repeated), and the number of the other variable items.
-        occurrences = Counter(s for eq in problem.equations for s in eq.pattern if isinstance(s, int))
-        interesting = {v for v in all_vars if self.cons_of[v] or occurrences[v] > 1}
+        # Suffix tables, built in one reverse pass over each equation
+        # (equations last to first, since variables of later equations still
+        # matter to the memo key):
+        #   suffix_counts / suffix_term_len: terminal letter counts and length;
+        #   need_vars / need_count: the variable items that can carry letter
+        #   obligations (constrained or repeated), in reverse order, and how
+        #   many of them lie in the suffix;
+        #   suffix_plain_count: the number of the other variable items;
+        #   relevant / relevant_count: every variable whose binding can still
+        #   influence a suffix, in the order the pass meets them, and how many
+        #   of them the suffix's memo key reads.
+        # A suffix reads a prefix of each ordered tuple, so the tables are
+        # linear in the pattern.
+        occurrences = Counter(s for pattern in patterns for s in pattern if isinstance(s, int))
+        interesting = {v for v in all_vars if cons_of[v] or occurrences[v] > 1}
         future: set[int] = set()
-        relevant: set[int] = set()
+        relevant: list[int] = []
+        seen: set[int] = set()
         tables = []
         for compiled in reversed(self.items):
             size = len(compiled)
-            counts: list[dict[str, int]] = [{}] * (size + 1)
-            rels: list[tuple[int, ...]] = [tuple(sorted(relevant))] * (size + 1)
+            counts: list[MappingProxyType[str, int]] = [MappingProxyType({})] * (size + 1)
             term_lens = [0] * (size + 1)
-            need_vars: list[tuple[int, ...]] = [()] * (size + 1)
             plain = [0] * (size + 1)
+            need_vars: list[int] = []
+            need_count = [0] * (size + 1)
+            rel_count = [len(relevant)] * (size + 1)
             running: dict[str, int] = {}
             for j in reversed(range(size)):
                 tag, payload = compiled[j]
-                need_vars[j] = need_vars[j + 1]
+                counts[j] = counts[j + 1]
+                term_lens[j] = term_lens[j + 1]
                 plain[j] = plain[j + 1]
-                rels[j] = rels[j + 1]
                 if tag == _TERM:
                     text: str = payload  # type: ignore[assignment]
-                    term_lens[j] = term_lens[j + 1] + len(text)
-                    running = dict(running)
+                    term_lens[j] += len(text)
                     for ch in text:
                         running[ch] = running.get(ch, 0) + 1
+                    counts[j] = MappingProxyType(dict(running))
                 else:
                     var: int = payload  # type: ignore[assignment]
-                    term_lens[j] = term_lens[j + 1]
                     if var in interesting:
-                        need_vars[j] = (var,) + need_vars[j]
+                        need_vars.append(var)
                     else:
                         plain[j] += 1
                     if var not in future:
                         future.add(var)
-                        relevant.add(var)
-                        for con in self.cons_of[var]:
-                            relevant.update((con.left, con.right))
-                        relevant.update(class_members[self.class_root[var]])
-                        rels[j] = tuple(sorted(relevant))
-                counts[j] = running
-            tables.append((counts, rels, term_lens, need_vars, plain))
+                        new = {var, *class_members[class_root[var]]}
+                        for con in cons_of[var]:
+                            new.update((con.left, con.right))
+                        relevant.extend(sorted(new - seen))
+                        seen |= new
+                need_count[j] = len(need_vars)
+                rel_count[j] = len(relevant)
+            tables.append((counts, term_lens, plain, need_vars, need_count, rel_count))
         tables.reverse()
         (
             self.suffix_counts,
-            self.relevant,
             self.suffix_term_len,
-            self.suffix_need_vars,
             self.suffix_plain_count,
-        ) = (list(column) for column in zip(*tables))
+            self.need_vars,
+            self.need_count,
+            self.relevant_count,
+        ) = (tuple(map(tuple, column)) for column in zip(*tables))
+        self.relevant = tuple(relevant)
+
+
+_compile = lru_cache(maxsize=_COMPILE_CACHE_SIZE)(_Tables)
+
+
+class _Solver:
+    """One search over a problem's cached tables, with its own targets,
+    bindings, forced class lengths, node budget and memos."""
+
+    def __init__(self, problem: MatchProblem, node_budget: int):
+        self.tables = tables = _compile(tuple(eq.pattern for eq in problem.equations), problem.constraints)
+        self.mode_min = problem.mode.min_len
+        self.budget = node_budget
+        self.bindings: dict[int, str] = {}
+        self.class_len: dict[int, Optional[int]] = dict.fromkeys(tables.roots)
+        self.targets = tuple(eq.target for eq in problem.equations)
 
         # Cumulative per-letter counts of each target, for suffix feasibility.
-        self.target_cum: list[dict[str, list[int]]] = []
-        for target in self.targets:
-            cum: dict[str, list[int]] = {}
-            letters = set(target)
-            for ch in letters:
-                arr = [0] * (len(target) + 1)
-                for i, c in enumerate(target):
-                    arr[i + 1] = arr[i] + (1 if c == ch else 0)
-                cum[ch] = arr
-            self.target_cum.append(cum)
+        self.target_cum = [
+            {ch: list(accumulate((c == ch for c in target), initial=0)) for ch in set(target)}
+            for target in self.targets
+        ]
 
         self.fail_memo: set[tuple] = set()
         self.var_needs_cache: dict[tuple, tuple[int, dict[str, int]]] = {}
@@ -228,11 +271,12 @@ class _Solver:
         Returns (hi, checks); checks is None when some needed letter does not
         occur in the target at all, so no candidate can succeed.
         """
+        tables = self.tables
         dyn_len, extra = self._dynamic_suffix_needs(ei, item + 1)
-        hi = len(self.targets[ei]) - t - self.suffix_term_len[ei][item + 1] - dyn_len
-        counts = self.suffix_counts[ei][item + 1]
+        hi = len(self.targets[ei]) - t - tables.suffix_term_len[ei][item + 1] - dyn_len
+        counts = tables.suffix_counts[ei][item + 1]
         if extra:
-            merged = dict(counts)
+            merged = counts.copy()
             for ch, n in extra.items():
                 merged[ch] = merged.get(ch, 0) + n
             counts = merged
@@ -247,7 +291,7 @@ class _Solver:
 
     def _min_letter_needs(self, var: int) -> tuple[int, dict[str, int]]:
         """Letters any image of ``var`` must contain, from bound constraint partners."""
-        cons = self.cons_of[var]
+        cons = self.tables.cons_of[var]
         cache_key = (var, tuple(self.bindings.get(c.left) for c in cons) + tuple(self.bindings.get(c.right) for c in cons))
         cached = self.var_needs_cache.get(cache_key)
         if cached is not None:
@@ -293,9 +337,10 @@ class _Solver:
     def _dynamic_suffix_needs(self, ei: int, item: int) -> tuple[int, dict[str, int]]:
         """Length and per-letter floor over the remaining variable items,
         using bound images and bound constraint partners."""
-        total = self.mode_min * self.suffix_plain_count[ei][item]
+        tables = self.tables
+        total = self.mode_min * tables.suffix_plain_count[ei][item]
         counts: dict[str, int] = {}
-        for var in self.suffix_need_vars[ei][item]:
+        for var in tables.need_vars[ei][: tables.need_count[ei][item]]:
             image = self.bindings.get(var)
             if image is not None:
                 total += len(image)
@@ -310,7 +355,7 @@ class _Solver:
 
     def _check_bound_constraints(self, var: int) -> bool:
         img = self.bindings[var]
-        for kind, left, right in self.cons_of[var]:
+        for kind, left, right in self.tables.cons_of[var]:
             li = img if left == var else self.bindings.get(left)
             ri = img if right == var else self.bindings.get(right)
             if li is None or ri is None:
@@ -323,13 +368,13 @@ class _Solver:
         """Candidate segment lengths for ``var`` within [lo, hi], ascending."""
         if hi < lo:
             return []
-        root = self.class_root[var]
+        root = self.tables.class_root[var]
         forced = self.class_len[root]
         if forced is not None:
             return [forced] if lo <= forced <= hi else []
         multiples_of: list[int] = []
         divisors_of: list[int] = []
-        for kind, left, right in self.cons_of[var]:
+        for kind, left, right in self.tables.cons_of[var]:
             other = right if left == var else left
             if other == var:
                 continue
@@ -379,7 +424,8 @@ class _Solver:
         depth is limited by the node budget, not by the recursion limit.  A
         choice point whose subtree yielded nothing goes into the fail memo.
         """
-        items, targets, bindings = self.items, self.targets, self.bindings
+        tables, targets, bindings = self.tables, self.targets, self.bindings
+        items, relevant, relevant_count = tables.items, tables.relevant, tables.relevant_count
         stack: list[_ChoicePoint] = []
         ei = item = t = 0
         while True:
@@ -402,7 +448,7 @@ class _Solver:
                         ei,
                         item,
                         t,
-                        tuple((v, bindings[v]) for v in self.relevant[ei][item] if v in bindings),
+                        tuple((v, bindings[v]) for v in relevant[: relevant_count[ei][item]] if v in bindings),
                     )
                     if key in self.fail_memo:
                         break
@@ -410,7 +456,7 @@ class _Solver:
                     if checks is None:
                         self.fail_memo.add(key)
                         break
-                    root = self.class_root[var]
+                    root = tables.class_root[var]
                     stack.append(_ChoicePoint(
                         key, ei, item, t, var, root,
                         self.class_len[root] is None,
@@ -523,6 +569,13 @@ def _assert_solution(problem: MatchProblem, witness: Substitution) -> None:
         raise AssertionError("solver witness erases a variable in NE mode")
 
 
+def _word_problem(word: str, rp: RelationalPattern, mode: Mode) -> MatchProblem:
+    """The one-equation problem ``rp = word``.  A pattern without variables
+    needs no special case: its search consumes terminals and never branches."""
+    rp.alphabet.validate_word(word)
+    return MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode)
+
+
 def match(
     word: str,
     rp: RelationalPattern,
@@ -531,11 +584,7 @@ def match(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[Substitution]:
     """Decide word membership; returns a valid witness substitution or None."""
-    rp.alphabet.validate_word(word)
-    if not rp.variables:
-        return {} if rp.terminal_text() == word else None
-    problem = MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode)
-    return solve_system(problem, node_budget=node_budget)
+    return solve_system(_word_problem(word, rp, mode), node_budget=node_budget)
 
 
 def count_witnesses(
@@ -549,8 +598,4 @@ def count_witnesses(
     """Number of distinct valid witnesses for the word, truncated at cap."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    rp.alphabet.validate_word(word)
-    if not rp.variables:
-        return 1 if rp.terminal_text() == word else 0
-    problem = MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode)
-    return _Solver(problem, node_budget).count(cap)
+    return _Solver(_word_problem(word, rp, mode), node_budget).count(cap)

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import relpat
 
 from relpat.core import Alphabet, BudgetExceededError, Constraint, Mode
 from relpat.inclusion import SigmaAssignment, build_predicates, predicate_satisfied
+from relpat import matcher
 from relpat.matcher import MatchEquation, MatchProblem, count_witnesses, match, solve_system
 from relpat.reductions import CnfFormula, ReductionVariant, generate
 from relpat.relations import RelationKind as K
@@ -213,6 +215,96 @@ def test_deep_pattern_needs_no_recursion(symbols, word):
     assert witness is not None
     assert semantics.apply(witness, rp) == word
     assert semantics.is_valid(witness, rp, Mode.NE)
+
+
+def test_deep_pattern_tables_are_linear():
+    # One tuple of the later variables per item would make the tables
+    # quadratic, about 37 MB on this pattern; linear tables need under 3 MB.
+    rp = make_rp(tuple(range(1, 3001)))
+    matcher._compile.cache_clear()
+    tracemalloc.start()
+    try:
+        witness = match("a" * 3000, rp, Mode.NE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness == {v: "a" for v in range(1, 3001)}
+    assert peak < 8 * 2**20, peak
+
+
+# -- the compiled-table cache -------------------------------------------------
+
+SEARCH_BUDGET = 10**6
+
+
+def _search(word, rp, mode):
+    """Witness (with its key order), nodes used and memo contents of one search."""
+    solver = matcher._Solver(MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode), SEARCH_BUDGET)
+    witness = solver.solve()
+    memo = {(ei, item, t, frozenset(pairs)) for ei, item, t, pairs in solver.fail_memo}
+    return witness and list(witness.items()), SEARCH_BUDGET - solver.budget, memo
+
+
+def _cold(query, *args):
+    matcher._compile.cache_clear()
+    return query(*args)
+
+
+def test_interrupted_search_leaves_tables_intact():
+    rp = make_rp((1, "a", 2, 3, 4), {Constraint(K.EQ, 1, 3), Constraint(K.SUBSEQ, 2, 4)})
+    for word in ("abaabbaab", "abbbabbab"):
+        cold = _cold(_search, word, rp, Mode.E)
+        assert cold[1] > 3
+        with pytest.raises(BudgetExceededError):
+            match(word, rp, Mode.E, node_budget=3)
+        assert _search(word, rp, Mode.E) == cold
+
+
+def test_value_equal_patterns_share_tables():
+    symbols = [1, 2, "b", 3, 4, 5, "a"]
+    constraints = [
+        Constraint(K.LEN_EQ, 1, 2),
+        Constraint(K.ABELIAN_EQ, 2, 3),
+        Constraint(K.SUBSEQ, 1, 4),
+        Constraint(K.STAR, 5, 1),
+        Constraint(K.REVERSAL, 3, 4),
+    ]
+    first = make_rp(list(symbols), constraints)
+    second = make_rp(list(symbols), reversed(constraints))
+    assert first == second and first.symbols is not second.symbols
+    for word in all_words("ab", 7):
+        for mode in (Mode.E, Mode.NE):
+            cold = _cold(_search, word, second, mode), _cold(count_witnesses, word, second, mode, 50)
+            matcher._compile.cache_clear()
+            _search(word, first, mode)
+            hits = matcher._compile.cache_info().hits
+            assert (_search(word, second, mode), count_witnesses(word, second, mode, 50)) == cold
+            assert matcher._compile.cache_info().hits == hits + 2
+
+
+def test_interleaved_queries_agree_with_cold_runs():
+    patterns = [
+        make_rp((1, "a", 2, 3), {Constraint(K.EQ, 1, 3)}),
+        make_rp((1, 2, "b", 3), {Constraint(K.COM_PLUS, 1, 2), Constraint(K.SUBSEQ, 3, 1)}),
+    ]
+    words = all_words("ab", 6)
+    for mode in (Mode.E, Mode.NE):
+        cold = {
+            (i, word): (_cold(_search, word, rp, mode), _cold(count_witnesses, word, rp, mode, 9))
+            for i, rp in enumerate(patterns)
+            for word in words
+        }
+        for word in words:
+            for i, rp in enumerate(patterns):
+                assert (_search(word, rp, mode), count_witnesses(word, rp, mode, 9)) == cold[i, word]
+
+
+def test_compile_cache_is_bounded():
+    matcher._compile.cache_clear()
+    for n in range(1, 101):
+        match("ab" * n, make_rp((1, "a", 2) + ("b",) * n), Mode.E)
+        assert matcher._compile.cache_info().currsize <= matcher._COMPILE_CACHE_SIZE
+    assert matcher._compile.cache_info().misses == 100
 
 
 def test_assert_solution_raises_under_optimize():
