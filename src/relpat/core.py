@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -46,8 +46,8 @@ class Mode(Enum):
 
 
 # Letters that would collide with the variable lexeme `x<int>` or with the
-# text-format metacharacters.
-_FORBIDDEN_LETTERS = set("x;,():") | set(" \t\r\n")
+# text-format metacharacters; whitespace letters are refused as well.
+_FORBIDDEN_LETTERS = set("x;,():")
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Alphabet:
         for ch in self.letters:
             if not isinstance(ch, str) or len(ch) != 1:
                 raise ValueError(f"alphabet letters must be single characters, got {ch!r}")
-            if ch in _FORBIDDEN_LETTERS:
+            if ch in _FORBIDDEN_LETTERS or ch.isspace():
                 raise ValueError(f"letter {ch!r} collides with the pattern syntax")
             if ch in seen:
                 raise ValueError(f"duplicate letter {ch!r}")
@@ -101,6 +101,8 @@ class RelationalPattern:
     alphabet: Alphabet
     symbols: tuple[PatternSymbol, ...]
     constraints: frozenset[Constraint] = frozenset()
+    # Variable indices in order of first occurrence, collected by __post_init__.
+    variables: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -108,6 +110,7 @@ class RelationalPattern:
         if not self.symbols:
             raise ValueError("pattern must be non-empty")
         seen: set[int] = set()
+        variables: list[int] = []
         for sym in self.symbols:
             if isinstance(sym, int):
                 if sym < 1:
@@ -115,6 +118,7 @@ class RelationalPattern:
                 if sym in seen:
                     raise ValueError(f"variable x{sym} occurs more than once")
                 seen.add(sym)
+                variables.append(sym)
             elif isinstance(sym, str):
                 if sym not in self.alphabet:
                     raise ValueError(f"terminal {sym!r} not in alphabet")
@@ -126,11 +130,7 @@ class RelationalPattern:
             for var in (left, right):
                 if var not in seen:
                     raise ValueError(f"constraint variable x{var} does not occur in the pattern")
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        """Variable indices in order of first occurrence."""
-        return tuple(sym for sym in self.symbols if isinstance(sym, int))
+        object.__setattr__(self, "variables", tuple(variables))
 
     @property
     def is_normal(self) -> bool:
@@ -143,6 +143,9 @@ class RelationalPattern:
 
 
 _VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
+# One `rel:` item: a run of characters other than ',' and '(', where a '('
+# opens a group that may hold commas up to the next ')'.  Linear time.
+_REL_SPLIT_RE = re.compile(r"(?:[^,(]|\([^)]*\)?)+")
 _REL_ITEM_RE = re.compile(r"\s*([a-z+*]+)\s*\(\s*x([1-9][0-9]*)\s*,\s*x([1-9][0-9]*)\s*\)\s*\Z")
 
 
@@ -191,7 +194,9 @@ def parse_document(text: str) -> tuple[RelationalPattern, Optional[Mode]]:
 
     constraints: set[Constraint] = set()
     if "rel" in fields and fields["rel"]:
-        for item in _split_rel_items(fields["rel"]):
+        for item in _REL_SPLIT_RE.findall(fields["rel"]):
+            if item.isspace():
+                continue
             m = _REL_ITEM_RE.match(item)
             if not m:
                 raise PatternSyntaxError(f"malformed relation {item.strip()!r}")
@@ -222,24 +227,24 @@ def parse_relational_pattern(text: str) -> RelationalPattern:
     return parse_document(text)[0]
 
 
-def _split_rel_items(value: str) -> list[str]:
-    # Split on commas that sit between ')' and the next relation name.
-    items: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in value:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        items.append("".join(current))
-    return [item for item in items if item.strip()]
+def class_roots(variables: Iterable[int], pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Map each variable to the root of its class under the union of ``pairs``.
+
+    The result lists the variables in the order given.
+    """
+    parent = {v: v for v in variables}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for left, right in pairs:
+        root_l, root_r = find(left), find(right)
+        if root_l != root_r:
+            parent[root_l] = root_r
+    return {v: find(v) for v in parent}
 
 
 def renumber(rp: RelationalPattern) -> RelationalPattern:

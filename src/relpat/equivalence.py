@@ -10,18 +10,18 @@ the same partition of the variables.
 
 from __future__ import annotations
 
-from .core import RelationalPattern, renumber
+from .core import RelationalPattern, class_roots, renumber
 from .relations import RelationKind, is_letter_antisymmetric_equivalence
 
 VariablePartition = frozenset[frozenset[int]]
 
 
-class MixedRelationKindsError(ValueError):
-    """Constraint set uses more than one relation kind."""
-
-
 class EquivalencePreconditionError(ValueError):
     """Input outside the decider's supported class (relation kind or alphabet)."""
+
+
+class MixedRelationKindsError(EquivalencePreconditionError):
+    """Constraint set uses more than one relation kind."""
 
 
 def _single_kind(rp: RelationalPattern) -> RelationKind | None:
@@ -38,22 +38,10 @@ def closure(rp: RelationalPattern) -> VariablePartition:
     variables form singleton blocks.
     """
     _single_kind(rp)
-    parent = {v: v for v in rp.variables}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for _, left, right in rp.constraints:
-        root_l, root_r = find(left), find(right)
-        if root_l != root_r:
-            parent[root_l] = root_r
-
+    roots = class_roots(rp.variables, ((left, right) for _, left, right in rp.constraints))
     blocks: dict[int, set[int]] = {}
-    for v in rp.variables:
-        blocks.setdefault(find(v), set()).add(v)
+    for v, root in roots.items():
+        blocks.setdefault(root, set()).add(v)
     return frozenset(frozenset(block) for block in blocks.values())
 
 

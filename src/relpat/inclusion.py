@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, Sequence
 
 from .core import Alphabet, Constraint, Mode, PatternSymbol, RelationalPattern
@@ -104,14 +105,9 @@ def _skeleton_regex(sp: SimplePredicate) -> re.Pattern[str]:
                 parts.append(f"(?P<p{item}>{atom})")
         else:
             parts.append(re.escape(item))
-    core = "".join(parts)
-    if sp.left_anchored and sp.right_anchored:
-        return re.compile(core + r"\Z")
-    if sp.left_anchored:
-        return re.compile(core)
     if sp.right_anchored:
-        return re.compile(core + r"\Z")
-    return re.compile(core)
+        parts.append(r"\Z")
+    return re.compile("".join(parts))
 
 
 def simple_predicate_holds(sp: SimplePredicate, word: str) -> bool:
@@ -197,24 +193,18 @@ def simple_to_triple(sp: SimplePredicate) -> PredicateTriple:
     gain one extra occurrence inside delta, which confines them to powers
     of 0 whenever sigma(y) is unary.
     """
-    next_id = 1
-
-    def alloc() -> int:
-        nonlocal next_id
-        var = next_id
-        next_id += 1
-        return var
+    ids = count(1)
 
     gamma: list[int] = []
     zero_family: list[int] = []
     hash_family: list[int] = []
     class_occurrences: dict[int, list[int]] = {1: [], 2: [], 3: []}
 
-    left_free = None if sp.left_anchored else alloc()
+    left_free = None if sp.left_anchored else next(ids)
     if left_free is not None:
         gamma.append(left_free)
     for item in sp.skeleton:
-        var = alloc()
+        var = next(ids)
         gamma.append(var)
         if item == "0":
             zero_family.append(var)
@@ -222,20 +212,20 @@ def simple_to_triple(sp: SimplePredicate) -> PredicateTriple:
             hash_family.append(var)
         else:
             class_occurrences[item].append(var)
-    right_free = None if sp.right_anchored else alloc()
+    right_free = None if sp.right_anchored else next(ids)
     if right_free is not None:
         gamma.append(right_free)
 
     delta: list[int] = []
     for cls in (1, 2, 3):
-        var = alloc()
+        var = next(ids)
         delta.append(var)
         class_occurrences[cls].append(var)
-    delta.append(alloc())  # free remainder
+    delta.append(next(ids))  # free remainder
 
-    zero_root = alloc()
-    hash_root = alloc()
-    eta = (zero_root, hash_root, alloc(), alloc(), alloc(), alloc(), alloc())
+    zero_root = next(ids)
+    hash_root = next(ids)
+    eta = (zero_root, hash_root, next(ids), next(ids), next(ids), next(ids), next(ids))
 
     constraints: set[Constraint] = set()
     for member in eta[2:6]:
@@ -417,18 +407,12 @@ def build_beta_A(automaton: TwoCounterAutomaton) -> RelationalPattern:
     triples = build_predicates(automaton)
     mu = len(triples)
 
-    next_id = 1
-
-    def alloc() -> int:
-        nonlocal next_id
-        var = next_id
-        next_id += 1
-        return var
+    ids = count(1)
 
     symbols: list[PatternSymbol] = []
     selector: list[tuple[int, int]] = []
     for _ in range(mu):
-        a, a_prime = alloc(), alloc()
+        a, a_prime = next(ids), next(ids)
         selector.append((a, a_prime))
         symbols += [a, a_prime]
     symbols += "#" * 6
@@ -440,24 +424,24 @@ def build_beta_A(automaton: TwoCounterAutomaton) -> RelationalPattern:
         mapping = local_to_global[index]
         for local in pattern:
             if local not in mapping:
-                mapping[local] = alloc()
+                mapping[local] = next(ids)
             symbols.append(mapping[local])
 
     for index, triple in enumerate(triples):
-        frame_vars[index].append(alloc())
+        frame_vars[index].append(next(ids))
         symbols.append(frame_vars[index][-1])
         splice(index, triple.gamma)
-        frame_vars[index].append(alloc())
+        frame_vars[index].append(next(ids))
         symbols.append(frame_vars[index][-1])
         splice(index, triple.delta)
-        frame_vars[index].append(alloc())
+        frame_vars[index].append(next(ids))
         symbols.append(frame_vars[index][-1])
     symbols += "#" * 6
     for index, triple in enumerate(triples):
-        frame_vars[index].append(alloc())
+        frame_vars[index].append(next(ids))
         symbols.append(frame_vars[index][-1])
         splice(index, triple.eta)
-        frame_vars[index].append(alloc())
+        frame_vars[index].append(next(ids))
         symbols.append(frame_vars[index][-1])
 
     constraints: set[Constraint] = set()
@@ -522,36 +506,30 @@ def ne_simple_to_pair(sp: SimplePredicate) -> PredicatePair:
     parameter classes gain a delta occurrence related by abelian
     equivalence, confining them to powers of 0.
     """
-    next_id = 1
-
-    def alloc() -> int:
-        nonlocal next_id
-        var = next_id
-        next_id += 1
-        return var
+    ids = count(1)
 
     gamma: list[PatternSymbol] = []
     class_occurrences: dict[int, list[int]] = {1: [], 2: [], 3: []}
     if not sp.left_anchored:
-        gamma.append(alloc())
+        gamma.append(next(ids))
     for item in sp.skeleton:
         if isinstance(item, int):
-            var = alloc()
+            var = next(ids)
             gamma.append(var)
             class_occurrences[item].append(var)
         else:
             gamma.append(item)
     if not sp.right_anchored:
-        gamma.append(alloc())
+        gamma.append(next(ids))
 
     delta: list[PatternSymbol] = ["0"]
     constraints: set[Constraint] = set()
     for cls in (1, 2, 3):
         if class_occurrences[cls]:
-            var = alloc()
+            var = next(ids)
             delta.append(var)
             class_occurrences[cls].append(var)
-    delta.append(alloc())  # free remainder
+    delta.append(next(ids))  # free remainder
     delta.append("0")
     for occurrences in class_occurrences.values():
         for member in occurrences[1:]:
@@ -630,43 +608,37 @@ def build_beta_prop6(
     pairs = prop6_predicates(extra_simple)
     mu = len(pairs)
 
-    next_id = 1
-
-    def alloc() -> int:
-        nonlocal next_id
-        var = next_id
-        next_id += 1
-        return var
+    ids = count(1)
 
     symbols: list[PatternSymbol] = []
-    a1, b1 = alloc(), alloc()
+    a1, b1 = next(ids), next(ids)
     symbols += [a1, b1]
     symbols += "#" * 5
-    a2 = alloc()
+    a2 = next(ids)
     symbols.append(a2)
     column_heads: list[int] = []
     for _ in range(mu):
-        head = alloc()
+        head = next(ids)
         column_heads.append(head)
         symbols.append(head)
-    b2 = alloc()
+    b2 = next(ids)
     symbols.append(b2)
     symbols += "#" * 5
 
     constraints: set[Constraint] = {_ab(a1, a2), _ab(b1, b2)}
     for index, pair in enumerate(pairs):
-        symbols.append(alloc())  # separator variable r_i
+        symbols.append(next(ids))  # separator variable r_i
         mapping: dict[int, int] = {}
 
         def mapped(local: int) -> int:
             if local not in mapping:
-                mapping[local] = alloc()
+                mapping[local] = next(ids)
             return mapping[local]
 
         for section in (pair.gamma, pair.delta, None):
             symbols.append("0")
             for _ in range(4):
-                column_var = alloc()
+                column_var = next(ids)
                 constraints.add(_ab(column_heads[index], column_var))
                 symbols.append(column_var)
             symbols.append("0")
@@ -675,6 +647,6 @@ def build_beta_prop6(
                     symbols.append(mapped(sym) if isinstance(sym, int) else sym)
         for kind, left, right in pair.constraints:
             constraints.add(Constraint(kind, mapped(left), mapped(right)))
-    symbols.append(alloc())  # trailing separator variable
+    symbols.append(next(ids))  # trailing separator variable
 
     return RelationalPattern(CONSTRUCTION_ALPHABET, tuple(symbols), frozenset(constraints))

@@ -51,6 +51,7 @@ from .core import (
     PatternSymbol,
     RelationalPattern,
     Substitution,
+    class_roots,
 )
 from .relations import LengthProfile, RelationKind, length_profile, primitive_root, relation_holds
 
@@ -149,24 +150,15 @@ class _Tables:
                 cons_of[con.right].append(con)
         self.cons_of = MappingProxyType({v: tuple(cons) for v, cons in cons_of.items()})
 
-        # Equal-length classes (union-find over EQUAL_LENGTHS-profile constraints).
-        parent = {v: v for v in all_vars}
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for kind, left, right in constraints:
-            if length_profile(kind) is LengthProfile.EQUAL_LENGTHS:
-                rl, rr = find(left), find(right)
-                if rl != rr:
-                    parent[rl] = rr
-        class_root = {v: find(v) for v in all_vars}
+        # Equal-length classes: the classes of the EQUAL_LENGTHS-profile constraints.
+        class_root = class_roots(
+            all_vars,
+            ((left, right) for kind, left, right in constraints
+             if length_profile(kind) is LengthProfile.EQUAL_LENGTHS),
+        )
         class_members: dict[int, list[int]] = {}
-        for v in all_vars:
-            class_members.setdefault(class_root[v], []).append(v)
+        for v, root in class_root.items():
+            class_members.setdefault(root, []).append(v)
         self.class_root = MappingProxyType(class_root)
         self.roots = tuple(class_members)
 

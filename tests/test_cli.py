@@ -1,7 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relpat
 from relpat import matcher
 from relpat.cli import main
 from relpat.machines import UtmConfiguration, utm_encode_computation
@@ -101,6 +107,25 @@ def test_equiv_same_file(tmp_path, capsys):
 def test_equiv_precondition_diagnostic(beta_file, capsys):
     assert main(["equiv", "--a", beta_file, "--b", beta_file]) == 2
     assert "precondition" in capsys.readouterr().err
+
+
+def test_equiv_mixed_kinds_is_a_precondition_violation(tmp_path, capsys):
+    path = tmp_path / "mixed.rp"
+    path.write_text("alphabet:ab; pattern: x1 x2 x3; rel: eq(x1,x2), ab(x2,x3)\n", encoding="utf-8")
+    assert main(["equiv", "--a", str(path), "--b", str(path)]) == 2
+    assert capsys.readouterr().err == "precondition violated: mixed relation kinds: ['ab', 'eq']\n"
+
+
+def test_import_relpat_leaves_cli_and_selfcheck_unloaded():
+    # The benchmark times a fresh `import relpat`; these two modules are not part of it.
+    code = "import sys, relpat; print(sorted(m for m in sys.modules if m.startswith('relpat')))"
+    src = str(Path(relpat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout)
+    assert "relpat.core" in loaded
+    assert "relpat.cli" not in loaded and "relpat.selfcheck" not in loaded
 
 
 def test_bincl_and_beq(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import re
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,6 +99,23 @@ def test_alphabet_rejects_collisions_and_duplicates():
         Alphabet.of("")
 
 
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\xa0", "\u2028"])
+def test_alphabet_rejects_whitespace_letters(space):
+    # A whitespace letter would print as text that parses back as another pattern.
+    with pytest.raises(ValueError, match="collides"):
+        Alphabet.of("a" + space)
+    with pytest.raises(PatternSyntaxError, match="collides"):
+        parse_document(f"alphabet: a{space}b; pattern: a")
+
+
+def test_rel_field_parse_is_linear():
+    text = "alphabet:ab; pattern: x1 x2; rel: eq(x1,x2)" + "," * 100_000 + ")"
+    start = time.perf_counter()
+    with pytest.raises(PatternSyntaxError, match="malformed relation"):
+        parse_document(text)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_relational_pattern_invariants():
     with pytest.raises(ValueError):
         make_rp((1, "a", 1))  # repeated variable
@@ -141,10 +161,25 @@ def normal_patterns(draw):
     return RelationalPattern(alphabet, tuple(symbols), frozenset(constraints))
 
 
+_SPACE = st.text(alphabet=" \t\x0b\x0c", max_size=2)
+_PRINTED_REL_ITEM = re.compile(r"([a-z+*]+)\((x\d+),(x\d+)\)")
+
+
 @settings(max_examples=200, deadline=None)
-@given(normal_patterns())
-def test_parse_print_round_trip(rp):
-    assert parse_relational_pattern(print_relational_pattern(rp)) == rp
+@given(normal_patterns(), st.data())
+def test_parse_print_round_trip(rp, data):
+    text = print_relational_pattern(rp)
+    assert parse_relational_pattern(text) == rp
+    # The same rel: field with whitespace around every token and blank items.
+    head, _, rel = text.partition("; rel: ")
+    items = []
+    for item in rel.split(", ") if rel else []:
+        name, left, right = _PRINTED_REL_ITEM.fullmatch(item).groups()
+        items += data.draw(st.lists(_SPACE, max_size=2))
+        w = [data.draw(_SPACE) for _ in range(6)]
+        items.append(f"{w[0]}{name}{w[1]}({w[2]}{left}{w[3]},{w[4]}{right}{w[5]})")
+    items += data.draw(st.lists(_SPACE, max_size=2))
+    assert parse_relational_pattern(f"{head}; rel: {','.join(items)}") == rp
 
 
 _PARSER_TEXT = st.one_of(

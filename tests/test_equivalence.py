@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relpat.core import Alphabet, Constraint, Mode, renumber
 from relpat.equivalence import (
@@ -39,6 +40,12 @@ def test_closure_rejects_mixed_kinds():
     rp = make_rp((1, 2, 3), {Constraint(K.EQ, 1, 2), Constraint(K.ABELIAN_EQ, 2, 3)})
     with pytest.raises(MixedRelationKindsError):
         closure(rp)
+
+
+def test_mixed_kinds_violate_the_decider_precondition():
+    mixed = make_rp((1, 2, 3), {Constraint(K.EQ, 1, 2), Constraint(K.ABELIAN_EQ, 2, 3)})
+    with pytest.raises(EquivalencePreconditionError, match="mixed relation kinds"):
+        ne_equivalent(mixed, mixed)
 
 
 def test_normalize_renumbers_by_first_occurrence():
@@ -132,3 +139,37 @@ def test_agreement_with_bounded_oracle_both_directions(monkeypatch):
     assert not failures, failures[:5]
     assert True in verdicts and False in verdicts
 
+
+@st.composite
+def decidable_pairs(draw):
+    """Two patterns of at most 3 variables sharing one decidable relation kind; the
+    second is often the first with renamed variables or flipped constraints."""
+    kind = draw(st.sampled_from(DECIDABLE_EQUIV_KINDS))
+
+    def pattern():
+        count = draw(st.integers(1, 3))
+        terminals = draw(st.lists(st.sampled_from("ab"), max_size=2))
+        symbols = draw(st.permutations(list(range(1, count + 1)) + terminals))
+        pairs = draw(st.lists(st.tuples(st.integers(1, count), st.integers(1, count)), max_size=2))
+        return make_rp(symbols, {Constraint(kind, left, right) for left, right in pairs})
+
+    a = pattern()
+    variant = draw(st.sampled_from(["fresh", "renamed", "flipped"]))
+    if variant == "fresh":
+        return a, pattern()
+    if variant == "renamed":
+        rename = dict(zip(a.variables, draw(st.permutations(a.variables))))
+        return a, make_rp(
+            (rename.get(s, s) for s in a.symbols),
+            {Constraint(k, rename[l], rename[r]) for k, l, r in a.constraints},
+        )
+    return a, make_rp(a.symbols, {Constraint(k, r, l) for k, l, r in a.constraints})
+
+
+@settings(max_examples=80, deadline=None)
+@given(decidable_pairs())
+def test_ne_equivalent_agrees_with_bounded_equal(pair):
+    a, b = pair
+    # The bound selfcheck.equivalence_decider uses.
+    bound = max(len(a.symbols), len(b.symbols)) + 3
+    assert ne_equivalent(a, b) == bounded_equal(a, b, Mode.NE, bound)
