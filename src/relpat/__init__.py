@@ -27,7 +27,7 @@ from .relations import (
     primitive_root,
     relation_holds,
 )
-from .matcher import MatchEquation, MatchProblem, count_witnesses, match, solve_system
+from .matcher import count_witnesses, match, solve_system
 from .semantics import (
     BoundedLanguage,
     apply,

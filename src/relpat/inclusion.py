@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .core import Alphabet, Constraint, Mode, PatternSymbol, RelationalPattern
 from .machines import RUN_SHAPE, TwoCounterAutomaton, UtmConfiguration, utm_encode_config
-from .matcher import DEFAULT_NODE_BUDGET, MatchEquation, MatchProblem, solve_system
+from .matcher import DEFAULT_NODE_BUDGET, solve_system
 from .relations import RelationKind
 
 CONSTRUCTION_ALPHABET = Alphabet.of("0#")
@@ -355,9 +355,9 @@ def predicate_satisfied(
     partners it carries no anchors, so the delta equation is solved before
     it; the verdict does not depend on the order.
     """
-    eta_eq = MatchEquation(triple.eta, PROBE_WORD)
-    gamma_eq = MatchEquation(triple.gamma, sigma.x_image)
-    delta_eq = MatchEquation(triple.delta, sigma.y_image)
+    eta_eq = (triple.eta, PROBE_WORD)
+    gamma_eq = (triple.gamma, sigma.x_image)
+    delta_eq = (triple.delta, sigma.y_image)
     eta_partners = {
         var
         for kind, left, right in triple.constraints
@@ -368,22 +368,15 @@ def predicate_satisfied(
         equations = (eta_eq, gamma_eq, delta_eq)
     else:
         equations = (eta_eq, delta_eq, gamma_eq)
-    problem = MatchProblem(equations, triple.constraints, Mode.E)
-    return solve_system(problem, node_budget=node_budget) is not None
+    return solve_system(equations, triple.constraints, Mode.E, node_budget=node_budget) is not None
 
 
 def satisfied_predicates(
     sigma: SigmaAssignment,
     triples: Iterable[PredicateTriple],
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[int]:
     """1-based indices of the satisfied predicates."""
-    return [
-        index
-        for index, triple in enumerate(triples, start=1)
-        if predicate_satisfied(sigma, triple, node_budget=node_budget)
-    ]
+    return [index for index, triple in enumerate(triples, start=1) if predicate_satisfied(sigma, triple)]
 
 
 # -- pattern builders (erasing / reversal) -----------------------------------
@@ -549,16 +542,10 @@ def pair_satisfied(
     gamma_target: str,
     delta_target: str,
     pair: PredicatePair,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> bool:
     """Solve the two-equation system for the pair under non-erasing semantics."""
-    problem = MatchProblem(
-        (MatchEquation(pair.gamma, gamma_target), MatchEquation(pair.delta, delta_target)),
-        pair.constraints,
-        Mode.NE,
-    )
-    return solve_system(problem, node_budget=node_budget) is not None
+    equations = ((pair.gamma, gamma_target), (pair.delta, delta_target))
+    return solve_system(equations, pair.constraints, Mode.NE) is not None
 
 
 def _psi_image(pattern: Iterable[PatternSymbol]) -> str:

@@ -16,7 +16,8 @@ SAT-reduction instances, do not hit the recursion limit.
 Pruning (always on, never verdict-changing):
   * equal-length constraint classes share one forced length,
   * subsequence / star constraints restrict candidate lengths against
-    already-bound partners,
+    already-bound partners; composplus constraints keep both images
+    nonempty before either is bound,
   * the remaining suffix's length and letter floor -- its terminals plus
     what bound images and bound constraint partners force on its
     variables -- must fit in the rest of the target.
@@ -32,7 +33,7 @@ the constraints; ``_compile`` builds them once and keeps the last
 ``_COMPILE_CACHE_SIZE`` (16) in an LRU cache, so the many words asked of one
 pattern share them.  They are immutable and linear in the pattern: each
 suffix reads a prefix of one ordered tuple.  Targets, bindings, class
-lengths, the node budget and both memos are built fresh for every search.
+lengths, the node budget and the fail memo are built fresh for every search.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice
 from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     BudgetExceededError,
@@ -69,35 +70,6 @@ def _letter_counts(word: str) -> dict[str, int]:
 @lru_cache(maxsize=65536)
 def _root_letter_counts(word: str) -> dict[str, int]:
     return _letter_counts(primitive_root(word))
-
-
-@dataclass(frozen=True)
-class MatchEquation:
-    """One pattern = word equation; pattern and target share the alphabet."""
-
-    pattern: tuple[PatternSymbol, ...]
-    target: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pattern", tuple(self.pattern))
-
-
-@dataclass(frozen=True)
-class MatchProblem:
-    equations: tuple[MatchEquation, ...]
-    constraints: frozenset[Constraint]
-    mode: Mode
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "equations", tuple(self.equations))
-        object.__setattr__(self, "constraints", frozenset(self.constraints))
-        if not self.equations:
-            raise ValueError("a match problem needs at least one equation")
-        occurring = {s for eq in self.equations for s in eq.pattern if isinstance(s, int)}
-        for kind, left, right in self.constraints:
-            for var in (left, right):
-                if var not in occurring:
-                    raise ValueError(f"constrained variable x{var} occurs in no equation")
 
 
 # Compiled equation item kinds.
@@ -234,15 +206,23 @@ _compile = lru_cache(maxsize=_COMPILE_CACHE_SIZE)(_Tables)
 
 class _Solver:
     """One search over a problem's cached tables, with its own targets,
-    bindings, forced class lengths, node budget and memos."""
+    bindings, forced class lengths, node budget and fail memo."""
 
-    def __init__(self, problem: MatchProblem, node_budget: int):
-        self.tables = tables = _compile(tuple(eq.pattern for eq in problem.equations), problem.constraints)
-        self.mode_min = problem.mode.min_len
+    def __init__(
+        self,
+        patterns: tuple[tuple[PatternSymbol, ...], ...],
+        targets: tuple[str, ...],
+        constraints: frozenset[Constraint],
+        mode: Mode,
+        node_budget: int,
+    ):
+        self.problem = (patterns, targets, constraints, mode)
+        self.tables = tables = _compile(patterns, constraints)
+        self.mode_min = mode.min_len
         self.budget = node_budget
         self.bindings: dict[int, str] = {}
         self.class_len: dict[int, Optional[int]] = dict.fromkeys(tables.roots)
-        self.targets = tuple(eq.target for eq in problem.equations)
+        self.targets = targets
 
         # Cumulative per-letter counts of each target, for suffix feasibility.
         self.target_cum = [
@@ -251,7 +231,6 @@ class _Solver:
         ]
 
         self.fail_memo: set[tuple] = set()
-        self.var_needs_cache: dict[tuple, tuple[int, dict[str, int]]] = {}
 
     # -- feasibility helpers ------------------------------------------------
 
@@ -283,48 +262,42 @@ class _Solver:
 
     def _min_letter_needs(self, var: int) -> tuple[int, dict[str, int]]:
         """Letters any image of ``var`` must contain, from bound constraint partners."""
-        cons = self.tables.cons_of[var]
-        cache_key = (var, tuple(self.bindings.get(c.left) for c in cons) + tuple(self.bindings.get(c.right) for c in cons))
-        cached = self.var_needs_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        bindings, mode_min = self.bindings, self.mode_min
         needs: dict[str, int] = {}
-        forced_len = self.mode_min
-        nonempty = self.mode_min
-
-        def bump(counts: dict[str, int]) -> None:
-            for ch, n in counts.items():
-                if n > needs.get(ch, 0):
-                    needs[ch] = n
-
-        for kind, left, right in cons:
+        forced_len = nonempty = mode_min
+        for kind, left, right in self.tables.cons_of[var]:
+            if kind is RelationKind.COM_PLUS:
+                # Both sides of a composplus pair are nonempty, bound or not.
+                nonempty = 1
             other = right if left == var else left
             if other == var:
                 continue
-            other_img = self.bindings.get(other)
-            if other_img is None:
+            # An empty or unbound partner image forces nothing more.
+            other_img = bindings.get(other)
+            if not other_img:
                 continue
-            profile = length_profile(kind)
-            if profile is LengthProfile.EQUAL_LENGTHS:
+            if length_profile(kind) is LengthProfile.EQUAL_LENGTHS:
                 forced_len = max(forced_len, len(other_img))
-                if kind in (RelationKind.EQ, RelationKind.REVERSAL, RelationKind.ABELIAN_EQ):
-                    bump(_letter_counts(other_img))
-            elif kind is RelationKind.COM_PLUS and other_img:
-                nonempty = 1
-                bump(_root_letter_counts(other_img))
-            elif kind is RelationKind.COM_STAR and other_img and self.mode_min:
-                bump(_root_letter_counts(other_img))
+                if kind not in (RelationKind.EQ, RelationKind.REVERSAL, RelationKind.ABELIAN_EQ):
+                    continue
+                counts = _letter_counts(other_img)
+            elif kind is RelationKind.COM_PLUS:
+                counts = _root_letter_counts(other_img)
+            elif kind is RelationKind.COM_STAR and mode_min:
+                counts = _root_letter_counts(other_img)
             elif kind is RelationKind.SUBSEQ and right == var:
-                bump(_letter_counts(other_img))
-            elif kind is RelationKind.STAR:
-                if left == var and other_img and self.mode_min:
-                    bump(_letter_counts(other_img))
-                elif right == var and other_img:
-                    nonempty = 1
-                    bump({ch: 1 for ch in set(other_img)})
-        min_len = max(forced_len, nonempty, sum(needs.values()))
-        self.var_needs_cache[cache_key] = (min_len, needs)
-        return min_len, needs
+                counts = _letter_counts(other_img)
+            elif kind is RelationKind.STAR and left == var and mode_min:
+                counts = _letter_counts(other_img)
+            elif kind is RelationKind.STAR and right == var:
+                nonempty = 1
+                counts = dict.fromkeys(other_img, 1)
+            else:
+                continue
+            for ch, n in counts.items():
+                if n > needs.get(ch, 0):
+                    needs[ch] = n
+        return max(forced_len, nonempty, sum(needs.values())), needs
 
     def _dynamic_suffix_needs(self, ei: int, item: int) -> tuple[int, dict[str, int]]:
         """Length and per-letter floor over the remaining variable items,
@@ -367,6 +340,10 @@ class _Solver:
         multiples_of: list[int] = []
         divisors_of: list[int] = []
         for kind, left, right in self.tables.cons_of[var]:
+            if kind is RelationKind.COM_PLUS:
+                # Both sides of a composplus pair are nonempty, bound or not.
+                lo = max(lo, 1)
+                continue
             other = right if left == var else left
             if other == var:
                 continue
@@ -390,8 +367,6 @@ class _Solver:
                     if other_img:
                         lo = max(lo, 1)
                         divisors_of.append(len(other_img))
-            elif kind is RelationKind.COM_PLUS:
-                lo = max(lo, 1)
         if hi < lo:
             return []
         if multiples_of or divisors_of:
@@ -510,7 +485,11 @@ class _Solver:
         return None
 
     def solve(self) -> Optional[Substitution]:
-        return next(self.solutions(), None)
+        """The first solution, re-validated against the problem, or None."""
+        witness = next(self.solutions(), None)
+        if witness is not None:
+            _assert_solution(*self.problem, witness)
+        return witness
 
     def count(self, cap: int) -> int:
         return sum(1 for _ in islice(self.solutions(), cap))
@@ -533,39 +512,49 @@ class _ChoicePoint:
 
 
 def solve_system(
-    problem: MatchProblem,
+    equations: Iterable[tuple[Iterable[PatternSymbol], str]],
+    constraints: Iterable[Constraint],
+    mode: Mode,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[Substitution]:
-    """Find one assignment satisfying all equations and constraints, or None.
+    """Find one assignment satisfying all ``(pattern, target)`` equations and
+    the constraints, or None.
 
     Complete: returns None only when no solution exists (within the node
     budget; exceeding it raises BudgetExceededError instead of guessing).
+    Raises ValueError for an empty system or a constrained variable that
+    occurs in no equation.
     """
-    witness = _Solver(problem, node_budget).solve()
-    if witness is not None:
-        _assert_solution(problem, witness)
-    return witness
+    equations = [(tuple(pattern), target) for pattern, target in equations]
+    if not equations:
+        raise ValueError("a system needs at least one equation")
+    constraints = frozenset(constraints)
+    occurring = {s for pattern, _ in equations for s in pattern if isinstance(s, int)}
+    dangling = {var for con in constraints for var in (con.left, con.right)} - occurring
+    if dangling:
+        raise ValueError(f"constrained variable x{min(dangling)} occurs in no equation")
+    patterns, targets = zip(*equations)
+    return _Solver(patterns, targets, constraints, mode, node_budget).solve()
 
 
-def _assert_solution(problem: MatchProblem, witness: Substitution) -> None:
+def _assert_solution(
+    patterns: tuple[tuple[PatternSymbol, ...], ...],
+    targets: tuple[str, ...],
+    constraints: frozenset[Constraint],
+    mode: Mode,
+    witness: Substitution,
+) -> None:
     # Explicit raises, not ``assert``: the check must survive ``python -O``.
-    for eq in problem.equations:
-        image = "".join(witness[s] if isinstance(s, int) else s for s in eq.pattern)
-        if image != eq.target:
-            raise AssertionError(f"solver produced a non-solution: {image!r} != {eq.target!r}")
-    for kind, left, right in problem.constraints:
+    for pattern, target in zip(patterns, targets):
+        image = "".join(witness[s] if isinstance(s, int) else s for s in pattern)
+        if image != target:
+            raise AssertionError(f"solver produced a non-solution: {image!r} != {target!r}")
+    for kind, left, right in constraints:
         if not relation_holds(kind, witness[left], witness[right]):
             raise AssertionError(f"solver witness violates {kind.value}(x{left},x{right})")
-    if problem.mode is Mode.NE and not all(witness.values()):
+    if mode is Mode.NE and not all(witness.values()):
         raise AssertionError("solver witness erases a variable in NE mode")
-
-
-def _word_problem(word: str, rp: RelationalPattern, mode: Mode) -> MatchProblem:
-    """The one-equation problem ``rp = word``.  A pattern without variables
-    needs no special case: its search consumes terminals and never branches."""
-    rp.alphabet.validate_word(word)
-    return MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode)
 
 
 def match(
@@ -575,8 +564,12 @@ def match(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[Substitution]:
-    """Decide word membership; returns a valid witness substitution or None."""
-    return solve_system(_word_problem(word, rp, mode), node_budget=node_budget)
+    """Decide word membership; returns a valid witness substitution or None.
+
+    A pattern without variables needs no special case: its search consumes
+    terminals and never branches."""
+    rp.alphabet.validate_word(word)
+    return _Solver((rp.symbols,), (word,), rp.constraints, mode, node_budget).solve()
 
 
 def count_witnesses(
@@ -590,4 +583,5 @@ def count_witnesses(
     """Number of distinct valid witnesses for the word, truncated at cap."""
     if cap < 1:
         raise ValueError("cap must be positive")
-    return _Solver(_word_problem(word, rp, mode), node_budget).count(cap)
+    rp.alphabet.validate_word(word)
+    return _Solver((rp.symbols,), (word,), rp.constraints, mode, node_budget).count(cap)

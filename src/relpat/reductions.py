@@ -279,15 +279,12 @@ def verify_reduction(
     variant: ReductionVariant,
     phi: CnfFormula,
     kind: Optional[RelationKind] = None,
-    *,
-    node_budget: int | None = None,
 ) -> bool:
     """True iff the matcher verdict on the generated instance equals brute-force SAT."""
     from . import matcher
 
     inst = generate(variant, phi, kind)
-    kwargs = {} if node_budget is None else {"node_budget": node_budget}
-    member = matcher.match(inst.word, inst.rp, inst.mode, **kwargs) is not None
+    member = matcher.match(inst.word, inst.rp, inst.mode) is not None
     return member == sat_brute_force(phi)
 
 

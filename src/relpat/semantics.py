@@ -148,8 +148,6 @@ def inclusion_counterexample(
     b: RelationalPattern,
     mode: Mode,
     max_len: int,
-    *,
-    node_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Optional[str]:
     """A word of the bounded language of ``a`` that is not in L(b), or None.
 
@@ -159,7 +157,7 @@ def inclusion_counterexample(
     """
     if a.alphabet != b.alphabet:
         raise ValueError("patterns must share one alphabet")
-    bounded = enumerate_language(a, mode, max_len, node_budget=node_budget)
+    bounded = enumerate_language(a, mode, max_len)
     for word in sorted(bounded.words, key=lambda w: (len(w), w)):
         if matcher.match(word, b, mode) is None:
             return word
@@ -171,11 +169,9 @@ def bounded_included(
     b: RelationalPattern,
     mode: Mode,
     max_len: int,
-    *,
-    node_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> bool:
     """True iff every word of a's bounded language is a member of L(b)."""
-    return inclusion_counterexample(a, b, mode, max_len, node_budget=node_budget) is None
+    return inclusion_counterexample(a, b, mode, max_len) is None
 
 
 def bounded_equal(
@@ -183,10 +179,6 @@ def bounded_equal(
     b: RelationalPattern,
     mode: Mode,
     max_len: int,
-    *,
-    node_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> bool:
     """Bounded inclusion in both directions."""
-    return bounded_included(a, b, mode, max_len, node_budget=node_budget) and bounded_included(
-        b, a, mode, max_len, node_budget=node_budget
-    )
+    return bounded_included(a, b, mode, max_len) and bounded_included(b, a, mode, max_len)

@@ -12,7 +12,7 @@ import relpat
 from relpat.core import Alphabet, BudgetExceededError, Constraint, Mode
 from relpat.inclusion import SigmaAssignment, build_predicates, predicate_satisfied
 from relpat import matcher
-from relpat.matcher import MatchEquation, MatchProblem, count_witnesses, match, solve_system
+from relpat.matcher import count_witnesses, match, solve_system
 from relpat.reductions import CnfFormula, ReductionVariant, generate
 from relpat.relations import RelationKind as K
 from relpat import semantics
@@ -42,32 +42,39 @@ def test_match_nonerasing_absent():
     assert match("aab", INTRO_PATTERN, Mode.NE) is None
 
 
+def _items(witness):
+    return witness and list(witness.items())
+
+
 def test_solve_system_single_equation_is_match():
-    problem = MatchProblem(
-        (MatchEquation(REV_PATTERN.symbols, "abccba"),), REV_PATTERN.constraints, Mode.NE
-    )
-    assert solve_system(problem) == match("abccba", REV_PATTERN, Mode.NE)
+    # ``match`` skips ``solve_system``'s input checks; both must still agree,
+    # witness key order included, on every relation kind and in both modes.
+    equations = [(REV_PATTERN.symbols, "abccba")]
+    assert solve_system(equations, REV_PATTERN.constraints, Mode.NE) == match("abccba", REV_PATTERN, Mode.NE)
+    rng = random.Random(12)
+    words = all_words("ab", 5)
+    for i in range(36):
+        rp = random_relational_pattern(rng, kinds=(list(K)[i % len(K)],))
+        for mode in (Mode.E, Mode.NE):
+            for word in rng.sample(words, 8):
+                expected = _items(match(word, rp, mode))
+                assert _items(solve_system([(rp.symbols, word)], rp.constraints, mode)) == expected
 
 
 def test_solve_system_shared_variables():
-    problem = MatchProblem(
-        (MatchEquation((1, 2), "ab"), MatchEquation((2, 1), "ba")), frozenset(), Mode.NE
-    )
-    assert solve_system(problem) == {1: "a", 2: "b"}
+    assert solve_system([((1, 2), "ab"), ((2, 1), "ba")], frozenset(), Mode.NE) == {1: "a", 2: "b"}
 
 
 def test_solve_system_contradiction():
-    problem = MatchProblem(
-        (MatchEquation((1,), "a"), MatchEquation((2,), "b")),
-        frozenset({Constraint(K.EQ, 1, 2)}),
-        Mode.E,
-    )
-    assert solve_system(problem) is None
+    equations = [((1,), "a"), ((2,), "b")]
+    assert solve_system(equations, {Constraint(K.EQ, 1, 2)}, Mode.E) is None
 
 
 def test_solve_system_rejects_dangling_constraint():
-    with pytest.raises(ValueError):
-        MatchProblem((MatchEquation((1,), "a"),), frozenset({Constraint(K.EQ, 1, 2)}), Mode.E)
+    # A constrained variable in no equation, and a system with no equations.
+    for equations, constraints in ([((1,), "a")], {Constraint(K.EQ, 1, 2)}), ([], set()):
+        with pytest.raises(ValueError):
+            solve_system(equations, constraints, Mode.E)
 
 
 def test_count_witnesses_unique_reversal():
@@ -191,6 +198,7 @@ def test_node_counts_pinned():
         ("jiang-e UNSAT", _reduction_member(ReductionVariant.JIANG_E, unsat, K.EQ), False, 2235),
         ("onesided-ssq-e UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_SUBSEQ_E, unsat), False, 431),
         ("onesided-star-ne UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_STAR_NE, unsat), False, 915),
+        ("complus-e SAT", _reduction_member(ReductionVariant.COM_PLUS_E, sat), True, 2747),
         ("predicate 3", lambda n: predicate_satisfied(sigma, triples[2], node_budget=n), False, 1593),
         ("predicate 18", lambda n: predicate_satisfied(sigma, triples[17], node_budget=n), True, 184),
     ]
@@ -239,10 +247,10 @@ SEARCH_BUDGET = 10**6
 
 def _search(word, rp, mode):
     """Witness (with its key order), nodes used and memo contents of one search."""
-    solver = matcher._Solver(MatchProblem((MatchEquation(rp.symbols, word),), rp.constraints, mode), SEARCH_BUDGET)
+    solver = matcher._Solver((rp.symbols,), (word,), rp.constraints, mode, SEARCH_BUDGET)
     witness = solver.solve()
     memo = {(ei, item, t, frozenset(pairs)) for ei, item, t, pairs in solver.fail_memo}
-    return witness and list(witness.items()), SEARCH_BUDGET - solver.budget, memo
+    return _items(witness), SEARCH_BUDGET - solver.budget, memo
 
 
 def _cold(query, *args):
@@ -311,9 +319,8 @@ def test_assert_solution_raises_under_optimize():
     # ``python -O`` strips bare asserts; the witness self-check must still raise.
     code = (
         "from relpat.core import Mode\n"
-        "from relpat.matcher import MatchEquation, MatchProblem, _assert_solution\n"
-        "problem = MatchProblem((MatchEquation((1, 'a'), 'ba'),), frozenset(), Mode.NE)\n"
-        "_assert_solution(problem, {1: 'a'})\n"
+        "from relpat.matcher import _assert_solution\n"
+        "_assert_solution(((1, 'a'),), ('ba',), frozenset(), Mode.NE, {1: 'a'})\n"
     )
     src = str(Path(relpat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
