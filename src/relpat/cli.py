@@ -139,35 +139,35 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_machine(args: argparse.Namespace) -> int:
-    if args.machine_cmd == "ca-run":
-        automaton = _automaton(args.automaton)
-        run = machines.ca_find_accepting_run(automaton, args.max_steps)
-        if run is None:
-            print("absent")
-            return 1
-        for config in run:
-            print(f"q{config.state} {config.counter1} {config.counter2}")
-        return 0
-    if args.machine_cmd == "ca-encode":
-        automaton = _automaton(args.automaton)
-        run = machines.ca_find_accepting_run(automaton, args.max_steps)
-        if run is None:
-            print("absent")
-            return 1
-        print(machines.ca_encode(run, _params(args)))
-        return 0
-    if args.machine_cmd == "ca-validate":
-        automaton = _automaton(args.automaton)
-        verdict = machines.ca_validate(args.word, automaton, _params(args))
-        print("true" if verdict else "false")
-        return 0 if verdict else 1
-    if args.machine_cmd == "utm-validate":
-        initial = _utm_config(args.initial)
-        verdict = machines.utm_validate(args.word, initial)
-        print("true" if verdict else "false")
-        return 0 if verdict else 1
-    raise ValueError(f"unknown machine subcommand {args.machine_cmd!r}")
+def _cmd_ca_run(args: argparse.Namespace) -> int:
+    run = machines.ca_find_accepting_run(_automaton(args.automaton), args.max_steps)
+    if run is None:
+        print("absent")
+        return 1
+    for config in run:
+        print(f"q{config.state} {config.counter1} {config.counter2}")
+    return 0
+
+
+def _cmd_ca_encode(args: argparse.Namespace) -> int:
+    run = machines.ca_find_accepting_run(_automaton(args.automaton), args.max_steps)
+    if run is None:
+        print("absent")
+        return 1
+    print(machines.ca_encode(run, _params(args)))
+    return 0
+
+
+def _cmd_ca_validate(args: argparse.Namespace) -> int:
+    verdict = machines.ca_validate(args.word, _automaton(args.automaton), _params(args))
+    print("true" if verdict else "false")
+    return 0 if verdict else 1
+
+
+def _cmd_utm_validate(args: argparse.Namespace) -> int:
+    verdict = machines.utm_validate(args.word, _utm_config(args.initial))
+    print("true" if verdict else "false")
+    return 0 if verdict else 1
 
 
 def _params(args: argparse.Namespace) -> machines.EncodingParams:
@@ -177,25 +177,23 @@ def _params(args: argparse.Namespace) -> machines.EncodingParams:
     return machines.EncodingParams(x, c1, c2, y2)
 
 
-def _cmd_thm3(args: argparse.Namespace) -> int:
+def _cmd_thm3_build(args: argparse.Namespace) -> int:
     automaton = _automaton(args.automaton)
-    if args.thm3_cmd == "build":
-        beta = inclusion.build_beta_A(automaton)
-        Path(args.out).write_text(print_relational_pattern(beta) + "\n", encoding="utf-8")
-        if args.alpha_out:
-            alpha = inclusion.build_alpha_A()
-            Path(args.alpha_out).write_text(
-                print_relational_pattern(alpha) + "\n", encoding="utf-8"
-            )
-        print(f"predicates: {len(inclusion.build_predicates(automaton))}")
-        return 0
-    if args.thm3_cmd == "eval":
-        sigma = inclusion.SigmaAssignment(args.sigma_x, args.sigma_y)
-        triples = inclusion.build_predicates(automaton)
-        indices = inclusion.satisfied_predicates(sigma, triples)
-        print(" ".join(str(i) for i in indices))
-        return 0
-    raise ValueError(f"unknown thm3 subcommand {args.thm3_cmd!r}")
+    beta = inclusion.build_beta_A(automaton)
+    Path(args.out).write_text(print_relational_pattern(beta) + "\n", encoding="utf-8")
+    if args.alpha_out:
+        alpha = inclusion.build_alpha_A()
+        Path(args.alpha_out).write_text(print_relational_pattern(alpha) + "\n", encoding="utf-8")
+    print(f"predicates: {len(inclusion.build_predicates(automaton))}")
+    return 0
+
+
+def _cmd_thm3_eval(args: argparse.Namespace) -> int:
+    sigma = inclusion.SigmaAssignment(args.sigma_x, args.sigma_y)
+    triples = inclusion.build_predicates(_automaton(args.automaton))
+    indices = inclusion.satisfied_predicates(sigma, triples)
+    print(" ".join(str(i) for i in indices))
+    return 0
 
 
 # -- report ------------------------------------------------------------------
@@ -265,18 +263,21 @@ def _build_parser() -> argparse.ArgumentParser:
     q = msub.add_parser("ca-run")
     q.add_argument("--automaton", required=True)
     q.add_argument("--max-steps", type=int, default=50)
+    q.set_defaults(func=_cmd_ca_run)
     q = msub.add_parser("ca-encode")
     q.add_argument("--automaton", required=True)
     q.add_argument("--max-steps", type=int, default=50)
     q.add_argument("--params", default=None, help="x,c1,c2,y2 (all >= 1)")
+    q.set_defaults(func=_cmd_ca_encode)
     q = msub.add_parser("ca-validate")
     q.add_argument("--automaton", required=True)
     q.add_argument("--word", required=True)
     q.add_argument("--params", default=None)
+    q.set_defaults(func=_cmd_ca_validate)
     q = msub.add_parser("utm-validate")
     q.add_argument("--initial", required=True, help="state,left_code,right_code")
     q.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_machine)
+    q.set_defaults(func=_cmd_utm_validate)
 
     p = sub.add_parser("thm3", help="inclusion-construction builders and evaluation")
     tsub = p.add_subparsers(dest="thm3_cmd", required=True)
@@ -284,11 +285,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--automaton", required=True)
     q.add_argument("--out", required=True)
     q.add_argument("--alpha-out", default=None)
+    q.set_defaults(func=_cmd_thm3_build)
     q = tsub.add_parser("eval")
     q.add_argument("--automaton", required=True)
     q.add_argument("--sigma-x", required=True)
     q.add_argument("--sigma-y", required=True)
-    p.set_defaults(func=_cmd_thm3)
+    q.set_defaults(func=_cmd_thm3_eval)
 
     p = sub.add_parser("report", help="run the deterministic acceptance-style suites")
     p.add_argument("--seed", type=int, required=True)

@@ -467,10 +467,6 @@ class PredicatePair:
         object.__setattr__(self, "delta", tuple(self.delta))
         object.__setattr__(self, "constraints", frozenset(self.constraints))
 
-    @property
-    def variable_pool(self) -> frozenset[int]:
-        return frozenset(s for s in self.gamma + self.delta if isinstance(s, int))
-
 
 def _ab(left: int, right: int) -> Constraint:
     return Constraint(RelationKind.ABELIAN_EQ, left, right)

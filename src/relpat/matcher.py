@@ -20,7 +20,9 @@ Pruning (always on, never verdict-changing):
     nonempty before either is bound,
   * the remaining suffix's length and letter floor -- its terminals plus
     what bound images and bound constraint partners force on its
-    variables -- must fit in the rest of the target.
+    variables -- must fit in the rest of the target; it bounds each
+    segment's end when its choice point opens, so no candidate past that
+    end is ever tried.
 
 Failed search states are memoized keyed on the bindings that can still
 influence the remaining suffix, which makes the anchored blocks of the
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
@@ -224,41 +226,17 @@ class _Solver:
         self.class_len: dict[int, Optional[int]] = dict.fromkeys(tables.roots)
         self.targets = targets
 
-        # Cumulative per-letter counts of each target, for suffix feasibility.
-        self.target_cum = [
-            {ch: list(accumulate((c == ch for c in target), initial=0)) for ch in set(target)}
-            for target in self.targets
-        ]
+        # The positions of each letter in each target, for the letter floor.
+        self.positions: list[dict[str, list[int]]] = []
+        for target in targets:
+            positions: dict[str, list[int]] = {}
+            for i, ch in enumerate(target):
+                positions.setdefault(ch, []).append(i)
+            self.positions.append(positions)
 
         self.fail_memo: set[tuple] = set()
 
     # -- feasibility helpers ------------------------------------------------
-
-    def _candidate_context(
-        self, ei: int, item: int, t: int
-    ) -> tuple[int, Optional[list[tuple[list[int], int]]]]:
-        """Upper length bound and per-letter count checks for one choice point.
-
-        Returns (hi, checks); checks is None when some needed letter does not
-        occur in the target at all, so no candidate can succeed.
-        """
-        tables = self.tables
-        dyn_len, extra = self._dynamic_suffix_needs(ei, item + 1)
-        hi = len(self.targets[ei]) - t - tables.suffix_term_len[ei][item + 1] - dyn_len
-        counts = tables.suffix_counts[ei][item + 1]
-        if extra:
-            merged = counts.copy()
-            for ch, n in extra.items():
-                merged[ch] = merged.get(ch, 0) + n
-            counts = merged
-        cum = self.target_cum[ei]
-        checks: list[tuple[list[int], int]] = []
-        for ch, need in counts.items():
-            arr = cum.get(ch)
-            if arr is None:
-                return hi, None
-            checks.append((arr, need))
-        return hi, checks
 
     def _min_letter_needs(self, var: int) -> tuple[int, dict[str, int]]:
         """Letters any image of ``var`` must contain, from bound constraint partners."""
@@ -299,24 +277,44 @@ class _Solver:
                     needs[ch] = n
         return max(forced_len, nonempty, sum(needs.values())), needs
 
-    def _dynamic_suffix_needs(self, ei: int, item: int) -> tuple[int, dict[str, int]]:
-        """Length and per-letter floor over the remaining variable items,
-        using bound images and bound constraint partners."""
-        tables = self.tables
-        total = self.mode_min * tables.suffix_plain_count[ei][item]
-        counts: dict[str, int] = {}
-        for var in tables.need_vars[ei][: tables.need_count[ei][item]]:
+    def _max_end(self, ei: int, item: int) -> int:
+        """The largest end the segment of variable item ``item`` may have, or
+        -1 when no end fits.
+
+        The rest of the target must hold the suffix's length and letter floor:
+        its terminals plus what bound images and bound constraint partners
+        force on its variables.  A letter needed ``need`` times must occur at
+        or after the segment's end, so the end is at most that letter's
+        ``need``-th last position.
+        """
+        tables, rest = self.tables, item + 1  # the items after the segment
+        total = tables.suffix_term_len[ei][rest] + self.mode_min * tables.suffix_plain_count[ei][rest]
+        extra: dict[str, int] = {}
+        for var in tables.need_vars[ei][: tables.need_count[ei][rest]]:
             image = self.bindings.get(var)
             if image is not None:
                 total += len(image)
                 for ch in image:
-                    counts[ch] = counts.get(ch, 0) + 1
+                    extra[ch] = extra.get(ch, 0) + 1
                 continue
             min_len, needs = self._min_letter_needs(var)
             total += min_len
             for ch, n in needs.items():
-                counts[ch] = counts.get(ch, 0) + n
-        return total, counts
+                extra[ch] = extra.get(ch, 0) + n
+        counts = tables.suffix_counts[ei][rest]
+        if extra:
+            merged = counts.copy()
+            for ch, n in extra.items():
+                merged[ch] = merged.get(ch, 0) + n
+            counts = merged
+        end = len(self.targets[ei]) - total
+        positions = self.positions[ei]
+        for ch, need in counts.items():
+            at = positions.get(ch, ())
+            if len(at) < need:
+                return -1
+            end = min(end, at[-need])
+        return end
 
     def _check_bound_constraints(self, var: int) -> bool:
         img = self.bindings[var]
@@ -419,16 +417,13 @@ class _Solver:
                     )
                     if key in self.fail_memo:
                         break
-                    hi, checks = self._candidate_context(ei, item, t)
-                    if checks is None:
+                    candidates = self._length_candidates(var, self.mode_min, self._max_end(ei, item) - t)
+                    if not candidates:
                         self.fail_memo.add(key)
                         break
                     root = tables.class_root[var]
                     stack.append(_ChoicePoint(
-                        key, ei, item, t, var, root,
-                        self.class_len[root] is None,
-                        iter(self._length_candidates(var, self.mode_min, hi)),
-                        checks,
+                        key, ei, item, t, var, root, self.class_len[root] is None, iter(candidates)
                     ))
                     break
                 if not target.startswith(text, t):
@@ -460,25 +455,21 @@ class _Solver:
         return the segment end; unbind it and return None once exhausted.
 
         The previous candidate's binding is left in place until the next one
-        overwrites it: the length and letter checks do not read it.
+        overwrites it: the length and letter floors cut the candidates when
+        the choice point opened, so nothing reads it in between.
         """
         target = self.targets[cp.ei]
-        tlen = len(target)
-        t, var, checks = cp.t, cp.var, cp.checks
+        t, var = cp.t, cp.var
         for ell in cp.candidates:
             self.budget -= 1
             if self.budget < 0:
                 raise BudgetExceededError("matcher node budget exhausted")
             end = t + ell
-            for arr, need in checks:
-                if arr[tlen] - arr[end] < need:
-                    break
-            else:
-                self.bindings[var] = target[t:end]
-                if cp.sets_class_len:
-                    self.class_len[cp.root] = ell
-                if self._check_bound_constraints(var):
-                    return end
+            self.bindings[var] = target[t:end]
+            if cp.sets_class_len:
+                self.class_len[cp.root] = ell
+            if self._check_bound_constraints(var):
+                return end
         self.bindings.pop(var, None)
         if cp.sets_class_len:
             self.class_len[cp.root] = None
@@ -507,7 +498,6 @@ class _ChoicePoint:
     root: int
     sets_class_len: bool  # the variable's length class was unset when opened
     candidates: Iterator[int]
-    checks: list[tuple[list[int], int]]
     found: bool = False  # some solution was yielded below this point
 
 

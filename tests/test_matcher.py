@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relpat
 
@@ -192,20 +193,45 @@ def test_node_counts_pinned():
         ("NE reversal", _member("abccbaabccba", rev, Mode.NE), False, 11),
         ("equal-length class", _member("abbbabbbab", classes, Mode.NE), True, 8),
         ("ssq and star", _member("abababbab", ssq_star, Mode.E), True, 22),
-        ("count ssq", lambda n: count_witnesses("abababbab", ssq, Mode.E, 10**6, node_budget=n), 26, 160),
+        ("count ssq", lambda n: count_witnesses("abababbab", ssq, Mode.E, 10**6, node_budget=n), 26, 156),
         ("angluin-ne SAT", _reduction_member(ReductionVariant.ANGLUIN_NE, sat, K.EQ), True, 33),
-        ("angluin-ne UNSAT", _reduction_member(ReductionVariant.ANGLUIN_NE, unsat, K.EQ), False, 2443),
-        ("jiang-e UNSAT", _reduction_member(ReductionVariant.JIANG_E, unsat, K.EQ), False, 2235),
-        ("onesided-ssq-e UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_SUBSEQ_E, unsat), False, 431),
-        ("onesided-star-ne UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_STAR_NE, unsat), False, 915),
-        ("complus-e SAT", _reduction_member(ReductionVariant.COM_PLUS_E, sat), True, 2747),
-        ("predicate 3", lambda n: predicate_satisfied(sigma, triples[2], node_budget=n), False, 1593),
-        ("predicate 18", lambda n: predicate_satisfied(sigma, triples[17], node_budget=n), True, 184),
+        ("angluin-ne UNSAT", _reduction_member(ReductionVariant.ANGLUIN_NE, unsat, K.EQ), False, 470),
+        ("jiang-e UNSAT", _reduction_member(ReductionVariant.JIANG_E, unsat, K.EQ), False, 457),
+        ("onesided-ssq-e UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_SUBSEQ_E, unsat), False, 231),
+        ("onesided-star-ne UNSAT", _reduction_member(ReductionVariant.ONE_SIDED_STAR_NE, unsat), False, 455),
+        ("complus-e SAT", _reduction_member(ReductionVariant.COM_PLUS_E, sat), True, 1003),
+        ("predicate 3", lambda n: predicate_satisfied(sigma, triples[2], node_budget=n), False, 1592),
+        ("predicate 18", lambda n: predicate_satisfied(sigma, triples[17], node_budget=n), True, 182),
     ]
     for name, query, expected, nodes in cases:
         assert query(nodes) == expected, name
         with pytest.raises(BudgetExceededError):
             query(nodes - 1)
+
+
+def test_letter_floor_alone_needs_no_node():
+    # x1 must end before the only "a": no length fits, so no node is spent.
+    assert match("abbbbb", make_rp((1, "a", 2)), Mode.NE, node_budget=0) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    target=st.text(alphabet="abc", max_size=12),
+    needs=st.dictionaries(st.sampled_from("abc"), st.integers(1, 5), max_size=3),
+)
+def test_max_end_is_the_letter_floor(target, needs):
+    # x1 followed by the needed letters as terminals: the letter floor
+    # implies the length floor, so it alone fixes x1's largest end, and -1
+    # means no end fits.
+    terminals = tuple(ch for ch, need in needs.items() for _ in range(need))
+    solver = matcher._Solver(((1, *terminals),), (target,), frozenset(), Mode.E, 0)
+    fits = [
+        end for end in range(len(target) + 1)
+        if all(target[end:].count(ch) >= need for ch, need in needs.items())
+    ]
+    end = solver._max_end(0, 0)
+    assert end == max(fits, default=-1)
+    assert (end == -1) == any(target.count(ch) < need for ch, need in needs.items())
 
 
 @pytest.mark.parametrize(
