@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("machine", help="counter-automaton and Turing-machine tools")
-    msub = p.add_subparsers(dest="machine_cmd", required=True)
+    msub = p.add_subparsers(required=True)
     q = msub.add_parser("ca-run")
     q.add_argument("--automaton", required=True)
     q.add_argument("--max-steps", type=int, default=50)
@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_utm_validate)
 
     p = sub.add_parser("thm3", help="inclusion-construction builders and evaluation")
-    tsub = p.add_subparsers(dest="thm3_cmd", required=True)
+    tsub = p.add_subparsers(required=True)
     q = tsub.add_parser("build")
     q.add_argument("--automaton", required=True)
     q.add_argument("--out", required=True)

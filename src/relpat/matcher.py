@@ -35,7 +35,10 @@ the constraints; ``_compile`` builds them once and keeps the last
 ``_COMPILE_CACHE_SIZE`` (16) in an LRU cache, so the many words asked of one
 pattern share them.  They are immutable and linear in the pattern: each
 suffix reads a prefix of one ordered tuple.  Targets, bindings, class
-lengths, the node budget and the fail memo are built fresh for every search.
+lengths, the node budget, the fail memo and the letter-needs cache (each
+unbound variable's forced length and letters, dropped whenever one of its
+constraint partners is bound, rebound or unbound) are built fresh for every
+search.
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ class _Tables:
 
     They depend only on the equations' patterns and the constraints, never on
     the targets or the mode, and are never written after construction: every
-    field is a tuple or a read-only mapping.  Tables indexed ``[ei][item]``
-    describe the suffix of equation ``ei`` from ``item`` on.
+    field is a tuple or a read-only mapping.  ``partners`` maps each variable
+    to its constraint partners, itself excluded.  Tables indexed
+    ``[ei][item]`` describe the suffix of equation ``ei`` from ``item`` on.
     """
 
     __slots__ = (
-        "items", "cons_of", "class_root", "roots", "suffix_counts", "suffix_term_len",
+        "items", "cons_of", "partners", "class_root", "roots", "suffix_counts", "suffix_term_len",
         "suffix_plain_count", "need_vars", "need_count", "relevant", "relevant_count",
     )
 
@@ -123,6 +127,10 @@ class _Tables:
             if con.right != con.left:
                 cons_of[con.right].append(con)
         self.cons_of = MappingProxyType({v: tuple(cons) for v, cons in cons_of.items()})
+        self.partners = MappingProxyType({
+            v: tuple({u for con in cons for u in (con.left, con.right)} - {v})
+            for v, cons in cons_of.items()
+        })
 
         # Equal-length classes: the classes of the EQUAL_LENGTHS-profile constraints.
         class_root = class_roots(
@@ -235,11 +243,17 @@ class _Solver:
             self.positions.append(positions)
 
         self.fail_memo: set[tuple] = set()
+        self.needs_cache: dict[int, tuple[int, dict[str, int]]] = {}
 
     # -- feasibility helpers ------------------------------------------------
 
     def _min_letter_needs(self, var: int) -> tuple[int, dict[str, int]]:
-        """Letters any image of ``var`` must contain, from bound constraint partners."""
+        """Letters any image of ``var`` must contain, from bound constraint partners.
+
+        The result reads only the partners' bindings and the mode, so
+        ``_max_end`` keeps it in ``needs_cache`` until ``_next_candidate``
+        binds, rebinds or unbinds one of ``var``'s partners.
+        """
         bindings, mode_min = self.bindings, self.mode_min
         needs: dict[str, int] = {}
         forced_len = nonempty = mode_min
@@ -288,16 +302,20 @@ class _Solver:
         ``need``-th last position.
         """
         tables, rest = self.tables, item + 1  # the items after the segment
+        bindings, cache = self.bindings, self.needs_cache
         total = tables.suffix_term_len[ei][rest] + self.mode_min * tables.suffix_plain_count[ei][rest]
         extra: dict[str, int] = {}
         for var in tables.need_vars[ei][: tables.need_count[ei][rest]]:
-            image = self.bindings.get(var)
+            image = bindings.get(var)
             if image is not None:
                 total += len(image)
                 for ch in image:
                     extra[ch] = extra.get(ch, 0) + 1
                 continue
-            min_len, needs = self._min_letter_needs(var)
+            entry = cache.get(var)
+            if entry is None:
+                entry = cache[var] = self._min_letter_needs(var)
+            min_len, needs = entry
             total += min_len
             for ch, n in needs.items():
                 extra[ch] = extra.get(ch, 0) + n
@@ -423,7 +441,8 @@ class _Solver:
                         break
                     root = tables.class_root[var]
                     stack.append(_ChoicePoint(
-                        key, ei, item, t, var, root, self.class_len[root] is None, iter(candidates)
+                        key, ei, item, t, var, root, self.class_len[root] is None,
+                        tables.partners[var], iter(candidates),
                     ))
                     break
                 if not target.startswith(text, t):
@@ -456,21 +475,26 @@ class _Solver:
 
         The previous candidate's binding is left in place until the next one
         overwrites it: the length and letter floors cut the candidates when
-        the choice point opened, so nothing reads it in between.
+        the choice point opened, so nothing reads it in between.  Every write
+        drops the partners' cached letter needs, which read this binding.
         """
-        target = self.targets[cp.ei]
-        t, var = cp.t, cp.var
+        target, cache = self.targets[cp.ei], self.needs_cache
+        t, var, partners = cp.t, cp.var, cp.partners
         for ell in cp.candidates:
             self.budget -= 1
             if self.budget < 0:
                 raise BudgetExceededError("matcher node budget exhausted")
             end = t + ell
             self.bindings[var] = target[t:end]
+            for other in partners:
+                cache.pop(other, None)
             if cp.sets_class_len:
                 self.class_len[cp.root] = ell
             if self._check_bound_constraints(var):
                 return end
         self.bindings.pop(var, None)
+        for other in partners:
+            cache.pop(other, None)
         if cp.sets_class_len:
             self.class_len[cp.root] = None
         return None
@@ -497,6 +521,7 @@ class _ChoicePoint:
     var: int
     root: int
     sets_class_len: bool  # the variable's length class was unset when opened
+    partners: tuple[int, ...]  # whose cached letter needs each write drops
     candidates: Iterator[int]
     found: bool = False  # some solution was yielded below this point
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from relpat.core import Mode, RelationalPattern
 from relpat.machines import TwoCounterAutomaton
+from relpat.matcher import _Solver
 from relpat.selfcheck import (  # noqa: F401  (re-exported for the test modules)
     AB,
     DECIDABLE_EQUIV_KINDS,
@@ -70,6 +71,30 @@ def all_witnesses(word: str, rp: RelationalPattern, mode: Mode) -> list[dict[int
 
     go(0, 0, {})
     return found
+
+
+class RecomputingSolver(_Solver):
+    """The matcher with its letter-needs cache emptied before every bound, so
+    each variable's needs are recomputed from the current bindings."""
+
+    def _max_end(self, ei: int, item: int) -> int:
+        self.needs_cache.clear()
+        return super()._max_end(ei, item)
+
+
+def search_outcome(solver_class, patterns, targets, constraints, mode, budget=10**6) -> tuple:
+    """What two fresh searches of ``solver_class`` produce: the first witness
+    (key order included), its nodes and sorted fail memo, then ``count(7)``,
+    its nodes and sorted fail memo."""
+    problem = (tuple(map(tuple, patterns)), tuple(targets), frozenset(constraints), mode, budget)
+    outcome: list = []
+    for run in (lambda s: s.solve(), lambda s: s.count(7)):
+        solver = solver_class(*problem)
+        result = run(solver)
+        if isinstance(result, dict):
+            result = list(result.items())
+        outcome += [result, budget - solver.budget, sorted(solver.fail_memo)]
+    return tuple(outcome)
 
 
 def dpll(clauses: list[tuple[int, ...]]) -> bool:

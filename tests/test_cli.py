@@ -219,6 +219,17 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["member", "--pattern", "/nonexistent.rp", "--word", "a", "--mode", "e"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, choices",
+    [("machine", "{ca-run,ca-encode,ca-validate,utm-validate}"), ("thm3", "{build,eval}")],
+)
+def test_missing_subcommand_lists_choices(command, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {choices}" in capsys.readouterr().err
+
+
 def test_report_deterministic(tmp_path, capsys):
     first = tmp_path / "r1.json"
     second = tmp_path / "r2.json"

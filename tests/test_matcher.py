@@ -19,7 +19,15 @@ from relpat.relations import RelationKind as K
 from relpat import semantics
 from relpat.selfcheck import matcher_oracle
 
-from helpers import all_witnesses, all_words, make_rp, random_relational_pattern, tiny_automata
+from helpers import (
+    RecomputingSolver,
+    all_witnesses,
+    all_words,
+    make_rp,
+    random_relational_pattern,
+    search_outcome,
+    tiny_automata,
+)
 
 REV_PATTERN = make_rp((1, "c", "c", 2), {Constraint(K.REVERSAL, 1, 2)}, alphabet=Alphabet.of("abc"))
 INTRO_PATTERN = make_rp((1, "a", "a", 3, "b", 2), {Constraint(K.EQ, 1, 3)})
@@ -232,6 +240,67 @@ def test_max_end_is_the_letter_floor(target, needs):
     end = solver._max_end(0, 0)
     assert end == max(fits, default=-1)
     assert (end == -1) == any(target.count(ch) < need for ch, need in needs.items())
+
+
+# -- the letter-needs cache --------------------------------------------------
+#
+# ``RecomputingSolver`` empties the cache before every bound, so any stale
+# entry shows up as a different witness, node count or fail memo.
+
+
+@st.composite
+def _systems(draw):
+    """One or two equations over up to four shared variables, with up to
+    three constraints of any kind between variables that occur."""
+    variables = st.integers(1, 4)
+    symbols = st.lists(st.one_of(variables, st.sampled_from("ab")), min_size=1, max_size=6)
+    patterns = draw(st.lists(symbols, min_size=1, max_size=2))
+    targets = [draw(st.text("ab", max_size=7)) for _ in patterns]
+    occurring = sorted({s for pattern in patterns for s in pattern if isinstance(s, int)})
+    constraints = []
+    if len(occurring) > 1:
+        pairs = st.lists(st.sampled_from(occurring), min_size=2, max_size=2, unique=True)
+        for left, right in draw(st.lists(pairs, max_size=3)):
+            constraints.append(Constraint(draw(st.sampled_from(list(K))), left, right))
+    return patterns, targets, constraints, draw(st.sampled_from(list(Mode)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=_systems())
+def test_letter_needs_cache_matches_recompute(system):
+    assert search_outcome(matcher._Solver, *system) == search_outcome(RecomputingSolver, *system)
+
+
+_REDUCTION_KINDS = {
+    ReductionVariant.ANGLUIN_NE: K.EQ,
+    ReductionVariant.JIANG_E: K.REVERSAL,
+    ReductionVariant.COMMUTE_NE: K.COM_STAR,
+}
+
+
+@pytest.mark.parametrize("satisfiable", [True, False], ids=["SAT", "UNSAT"])
+@pytest.mark.parametrize("variant", list(ReductionVariant), ids=lambda v: v.value)
+def test_letter_needs_cache_matches_recompute_on_reductions(variant, satisfiable):
+    if satisfiable:
+        clauses = ((1, 2, -3), (-1, 2, 3), (1, -2, 3), (-1, -2, -3))
+    else:
+        clauses = tuple((a, 2 * b, 3 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1))
+    inst = generate(variant, CnfFormula(3, clauses), _REDUCTION_KINDS.get(variant))
+    system = ([inst.rp.symbols], [inst.word], inst.rp.constraints, inst.mode)
+    assert search_outcome(matcher._Solver, *system) == search_outcome(RecomputingSolver, *system)
+
+
+def test_letter_needs_cache_dropped_on_rebind_and_unbind():
+    # x2 x3 x1 x1 with len(x3, x1), in E mode.  At x3's choice point each
+    # rebinding of x3 changes x1's forced length, which x1's own choice point
+    # reads.  Once x3 is exhausted and unbound, x2 is rebound and x3's choice
+    # point reopens, reading x1's needs with x3 unbound again.  Keeping the
+    # entry across the rebind costs three more nodes; keeping it across the
+    # unbind leaves x1 forced to five letters and loses the witness.
+    system = ([(2, 3, 1, 1)], ["abbab"], {Constraint(K.LEN_EQ, 3, 1)}, Mode.E)
+    outcome = search_outcome(matcher._Solver, *system)
+    assert outcome[:2] == ([(2, "abbab"), (3, ""), (1, "")], 36)
+    assert outcome == search_outcome(RecomputingSolver, *system)
 
 
 @pytest.mark.parametrize(
