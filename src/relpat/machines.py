@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-MACHINE_LETTERS = "0#"
-
 
 # -- nondeterministic 2-counter automata ------------------------------------
 

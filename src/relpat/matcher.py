@@ -29,16 +29,17 @@ influence the remaining suffix, which makes the anchored blocks of the
 SAT-reduction instances independent of each other.
 
 Each search splits into pattern-level tables and per-target state.  The
-tables (compiled items, constraint index, equal-length classes, suffix
-floors, memo-relevant variables) depend only on the equations' patterns and
-the constraints; ``_compile`` builds them once and keeps the last
+tables (compiled items, constraint index, equal-length classes, one record
+per suffix with its terminal floor, and the ordered letter-obligation and
+memo-relevant variables) depend only on the equations' patterns and the
+constraints; ``_compile`` builds them once and keeps the last
 ``_COMPILE_CACHE_SIZE`` (16) in an LRU cache, so the many words asked of one
-pattern share them.  They are immutable and linear in the pattern: each
-suffix reads a prefix of one ordered tuple.  Targets, bindings, class
-lengths, the node budget, the fail memo and the letter-needs cache (each
-unbound variable's forced length and letters, dropped whenever one of its
-constraint partners is bound, rebound or unbound) are built fresh for every
-search.
+pattern share them.  They are immutable and linear in the pattern: a
+suffix's record says how long a prefix of each ordered tuple it reads.
+Targets, bindings, the lengths of the classes that have one, the node
+budget, the fail memo and the letter-needs cache (each unbound variable's
+forced length and letters, dropped whenever one of its constraint partners
+is bound, rebound or unbound) are built fresh for every search.
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ from .relations import LengthProfile, RelationKind, length_profile, primitive_ro
 DEFAULT_NODE_BUDGET = 20_000_000
 
 
-@lru_cache(maxsize=65536)
-def _letter_counts(word: str) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for ch in word:
-        counts[ch] = counts.get(ch, 0) + 1
-    return counts
-
-
-@lru_cache(maxsize=65536)
-def _root_letter_counts(word: str) -> dict[str, int]:
-    return _letter_counts(primitive_root(word))
-
-
 # Compiled equation item kinds.
 _TERM = 0
 _VAR = 1
@@ -92,14 +80,14 @@ class _Tables:
     They depend only on the equations' patterns and the constraints, never on
     the targets or the mode, and are never written after construction: every
     field is a tuple or a read-only mapping.  ``partners`` maps each variable
-    to its constraint partners, itself excluded.  Tables indexed
-    ``[ei][item]`` describe the suffix of equation ``ei`` from ``item`` on.
+    to its constraint partners, itself excluded.  ``suffix[ei][item]`` is the
+    record ``(term_len, counts, plain, need_count, relevant_count)`` of the
+    suffix of equation ``ei`` from ``item`` on: its terminals' length and
+    letter counts, its number of plain variable items, and how long a prefix
+    of ``need_vars[ei]`` and of ``relevant`` it reads.
     """
 
-    __slots__ = (
-        "items", "cons_of", "partners", "class_root", "roots", "suffix_counts", "suffix_term_len",
-        "suffix_plain_count", "need_vars", "need_count", "relevant", "relevant_count",
-    )
+    __slots__ = ("items", "cons_of", "partners", "class_root", "suffix", "need_vars", "relevant")
 
     def __init__(self, patterns: tuple[tuple[PatternSymbol, ...], ...], constraints: frozenset[Constraint]):
         # Compile each equation into merged terminal runs and variable items.
@@ -133,81 +121,66 @@ class _Tables:
         })
 
         # Equal-length classes: the classes of the EQUAL_LENGTHS-profile constraints.
-        class_root = class_roots(
+        self.class_root = MappingProxyType(class_roots(
             all_vars,
             ((left, right) for kind, left, right in constraints
              if length_profile(kind) is LengthProfile.EQUAL_LENGTHS),
-        )
-        class_members: dict[int, list[int]] = {}
-        for v, root in class_root.items():
-            class_members.setdefault(root, []).append(v)
-        self.class_root = MappingProxyType(class_root)
-        self.roots = tuple(class_members)
+        ))
 
-        # Suffix tables, built in one reverse pass over each equation
+        # Suffix records, built in one reverse pass over each equation
         # (equations last to first, since variables of later equations still
-        # matter to the memo key):
-        #   suffix_counts / suffix_term_len: terminal letter counts and length;
-        #   need_vars / need_count: the variable items that can carry letter
-        #   obligations (constrained or repeated), in reverse order, and how
-        #   many of them lie in the suffix;
-        #   suffix_plain_count: the number of the other variable items;
-        #   relevant / relevant_count: every variable whose binding can still
-        #   influence a suffix, in the order the pass meets them, and how many
-        #   of them the suffix's memo key reads.
-        # A suffix reads a prefix of each ordered tuple, so the tables are
-        # linear in the pattern.
+        # matter to the memo key).  ``need_vars`` holds the variable items
+        # that can carry letter obligations (constrained or repeated), in
+        # reverse order; the other variable items are plain.  ``relevant``
+        # holds every variable whose binding can still influence a suffix, in
+        # the order the pass meets them.  A suffix reads a prefix of each
+        # ordered tuple, so the tables are linear in the pattern.
         occurrences = Counter(s for pattern in patterns for s in pattern if isinstance(s, int))
         interesting = {v for v in all_vars if cons_of[v] or occurrences[v] > 1}
         future: set[int] = set()
         relevant: list[int] = []
         seen: set[int] = set()
-        tables = []
+        suffix = []
+        need_vars_of = []
         for compiled in reversed(self.items):
-            size = len(compiled)
-            counts: list[MappingProxyType[str, int]] = [MappingProxyType({})] * (size + 1)
-            term_lens = [0] * (size + 1)
-            plain = [0] * (size + 1)
             need_vars: list[int] = []
-            need_count = [0] * (size + 1)
-            rel_count = [len(relevant)] * (size + 1)
             running: dict[str, int] = {}
-            for j in reversed(range(size)):
-                tag, payload = compiled[j]
-                counts[j] = counts[j + 1]
-                term_lens[j] = term_lens[j + 1]
-                plain[j] = plain[j + 1]
+            record = (0, MappingProxyType({}), 0, 0, len(relevant))
+            records = [record]
+            for tag, payload in reversed(compiled):
+                term_len, counts, plain, _, _ = record
                 if tag == _TERM:
                     text: str = payload  # type: ignore[assignment]
-                    term_lens[j] += len(text)
+                    term_len += len(text)
                     for ch in text:
                         running[ch] = running.get(ch, 0) + 1
-                    counts[j] = MappingProxyType(dict(running))
+                    counts = MappingProxyType(dict(running))
                 else:
                     var: int = payload  # type: ignore[assignment]
                     if var in interesting:
                         need_vars.append(var)
                     else:
-                        plain[j] += 1
+                        plain += 1
+                    # A suffix's key holds the bindings of its variables and
+                    # their constraint partners, not of the other members of
+                    # their equal-length classes.  Those add nothing: every
+                    # unbound variable lies in the suffix, so a chain of
+                    # equal-length constraints from an unbound suffix
+                    # variable meets its first bound variable as the partner
+                    # of a suffix variable.  That partner is in the key, and
+                    # its length is the class length.
                     if var not in future:
                         future.add(var)
-                        new = {var, *class_members[class_root[var]]}
-                        for con in cons_of[var]:
-                            new.update((con.left, con.right))
-                        relevant.extend(sorted(new - seen))
+                        new = {var, *self.partners[var]} - seen
+                        relevant.extend(sorted(new))
                         seen |= new
-                need_count[j] = len(need_vars)
-                rel_count[j] = len(relevant)
-            tables.append((counts, term_lens, plain, need_vars, need_count, rel_count))
-        tables.reverse()
-        (
-            self.suffix_counts,
-            self.suffix_term_len,
-            self.suffix_plain_count,
-            self.need_vars,
-            self.need_count,
-            self.relevant_count,
-        ) = (tuple(map(tuple, column)) for column in zip(*tables))
+                record = (term_len, counts, plain, len(need_vars), len(relevant))
+                records.append(record)
+            records.reverse()
+            suffix.append(tuple(records))
+            need_vars_of.append(tuple(need_vars))
+        self.suffix = tuple(reversed(suffix))
+        self.need_vars = tuple(reversed(need_vars_of))
         self.relevant = tuple(relevant)
 
 
@@ -231,7 +204,7 @@ class _Solver:
         self.mode_min = mode.min_len
         self.budget = node_budget
         self.bindings: dict[int, str] = {}
-        self.class_len: dict[int, Optional[int]] = dict.fromkeys(tables.roots)
+        self.class_len: dict[int, int] = {}
         self.targets = targets
 
         # The positions of each letter in each target, for the letter floor.
@@ -272,15 +245,15 @@ class _Solver:
                 forced_len = max(forced_len, len(other_img))
                 if kind not in (RelationKind.EQ, RelationKind.REVERSAL, RelationKind.ABELIAN_EQ):
                     continue
-                counts = _letter_counts(other_img)
+                counts = Counter(other_img)
             elif kind is RelationKind.COM_PLUS:
-                counts = _root_letter_counts(other_img)
+                counts = Counter(primitive_root(other_img))
             elif kind is RelationKind.COM_STAR and mode_min:
-                counts = _root_letter_counts(other_img)
+                counts = Counter(primitive_root(other_img))
             elif kind is RelationKind.SUBSEQ and right == var:
-                counts = _letter_counts(other_img)
+                counts = Counter(other_img)
             elif kind is RelationKind.STAR and left == var and mode_min:
-                counts = _letter_counts(other_img)
+                counts = Counter(other_img)
             elif kind is RelationKind.STAR and right == var:
                 nonempty = 1
                 counts = dict.fromkeys(other_img, 1)
@@ -301,11 +274,12 @@ class _Solver:
         or after the segment's end, so the end is at most that letter's
         ``need``-th last position.
         """
-        tables, rest = self.tables, item + 1  # the items after the segment
-        bindings, cache = self.bindings, self.needs_cache
-        total = tables.suffix_term_len[ei][rest] + self.mode_min * tables.suffix_plain_count[ei][rest]
+        tables, bindings, cache = self.tables, self.bindings, self.needs_cache
+        # The record of the items after the segment.
+        total, counts, plain, need_count, _ = tables.suffix[ei][item + 1]
+        total += self.mode_min * plain
         extra: dict[str, int] = {}
-        for var in tables.need_vars[ei][: tables.need_count[ei][rest]]:
+        for var in tables.need_vars[ei][:need_count]:
             image = bindings.get(var)
             if image is not None:
                 total += len(image)
@@ -319,7 +293,6 @@ class _Solver:
             total += min_len
             for ch, n in needs.items():
                 extra[ch] = extra.get(ch, 0) + n
-        counts = tables.suffix_counts[ei][rest]
         if extra:
             merged = counts.copy()
             for ch, n in extra.items():
@@ -350,7 +323,7 @@ class _Solver:
         if hi < lo:
             return []
         root = self.tables.class_root[var]
-        forced = self.class_len[root]
+        forced = self.class_len.get(root)
         if forced is not None:
             return [forced] if lo <= forced <= hi else []
         multiples_of: list[int] = []
@@ -408,7 +381,7 @@ class _Solver:
         choice point whose subtree yielded nothing goes into the fail memo.
         """
         tables, targets, bindings = self.tables, self.targets, self.bindings
-        items, relevant, relevant_count = tables.items, tables.relevant, tables.relevant_count
+        items, relevant, suffix = tables.items, tables.relevant, tables.suffix
         stack: list[_ChoicePoint] = []
         ei = item = t = 0
         while True:
@@ -427,11 +400,12 @@ class _Solver:
                     text = bindings[payload]  # type: ignore[index]
                 else:
                     var: int = payload  # type: ignore[assignment]
+                    relevant_count = suffix[ei][item][4]
                     key = (
                         ei,
                         item,
                         t,
-                        tuple((v, bindings[v]) for v in relevant[: relevant_count[ei][item]] if v in bindings),
+                        tuple((v, bindings[v]) for v in relevant[:relevant_count] if v in bindings),
                     )
                     if key in self.fail_memo:
                         break
@@ -441,7 +415,7 @@ class _Solver:
                         break
                     root = tables.class_root[var]
                     stack.append(_ChoicePoint(
-                        key, ei, item, t, var, root, self.class_len[root] is None,
+                        key, ei, item, t, var, root, root not in self.class_len,
                         tables.partners[var], iter(candidates),
                     ))
                     break
@@ -496,7 +470,7 @@ class _Solver:
         for other in partners:
             cache.pop(other, None)
         if cp.sets_class_len:
-            self.class_len[cp.root] = None
+            del self.class_len[cp.root]
         return None
 
     def solve(self) -> Optional[Substitution]:

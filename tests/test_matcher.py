@@ -222,6 +222,15 @@ def test_letter_floor_alone_needs_no_node():
     assert match("abbbbb", make_rp((1, "a", 2)), Mode.NE, node_budget=0) is None
 
 
+def test_star_partner_needs_each_letter_once():
+    # star(x1, x3) puts x1's image in {x3}^*.  Once x1 = "aa" is bound, x3
+    # needs each of its letters once, not as often as x1 holds it: demanding
+    # "aa" of x3 leaves no room for x3 = "a" in the one "a" after "bb".
+    rp = make_rp((1, "b", 2, 3), {Constraint(K.STAR, 1, 3)})
+    for mode in Mode:
+        assert _items(match("aabba", rp, mode)) == [(1, "aa"), (2, "b"), (3, "a")], mode
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     target=st.text(alphabet="abc", max_size=12),
